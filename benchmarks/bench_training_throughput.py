@@ -12,13 +12,6 @@ paper's credit-dataset configuration, comparing:
   are never materialised), and a single noise vector is drawn for the whole
   flattened gradient.
 
-Also measures the process-pool **data-parallel** private step
-(:class:`repro.engine.DataParallelExecutor` sharding the batch across forked
-workers, parent drawing one noise vector via ``step_from_clipped``) against
-the serial fused step.  The data-parallel scaling gate is core-count-aware:
-on a single-core runner (or without the fork start method) the section
-reports ``n/a`` instead of failing, because there is no parallelism to win.
-
 Writes a JSON artifact to ``benchmarks/results/BENCH_training_throughput.json``
 and exits non-zero if the fused path is not at least ``--min-speedup`` times
 faster, so CI catches throughput regressions.
@@ -33,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -41,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.datasets import load_dataset
-from repro.engine import DataParallelExecutor, fork_available
 from repro.models import DPVAE
 from repro.nn import Adam, grad_sample_mode
 from repro.privacy import DPSGD, per_example_clip
@@ -139,87 +130,6 @@ def time_steps(optimizer_name: str, steps: int, seed=0) -> float:
     return steps / elapsed
 
 
-def make_dp_optimizer(params, model, batch_size, seed):
-    return DPSGD(
-        params,
-        noise_multiplier=CONFIG["noise_multiplier"],
-        max_grad_norm=1.0,
-        expected_batch_size=batch_size,
-        base_optimizer=Adam(params, lr=model.learning_rate),
-        rng=seed,
-    )
-
-
-def time_data_parallel_steps(n_workers: int, steps: int, seed=0) -> float:
-    """Private data-parallel steps per second (``n_workers == 1`` = serial)."""
-    model, data = build_model_and_data(seed)
-    params = list(model._parameters())
-    batch_size = CONFIG["batch_size"]
-    optimizer = make_dp_optimizer(params, model, batch_size, seed)
-    rng = np.random.default_rng(seed)
-
-    def loss_fn(index):
-        return model._per_example_loss(data[index])
-
-    executor = None
-    if n_workers > 1:
-        executor = DataParallelExecutor(
-            loss_fn,
-            params,
-            n_workers=n_workers,
-            private=True,
-            max_grad_norm=1.0,
-            model_rng=model._rng,
-            base_seed=seed,
-        )
-
-    def one_step(step):
-        index = rng.choice(len(data), size=batch_size, replace=False)
-        if executor is None:
-            with grad_sample_mode():
-                reconstruction, kl = loss_fn(index)
-                (reconstruction + kl).sum().backward()
-            optimizer.step()
-        else:
-            result = executor.run_step(index, step)
-            optimizer.step_from_clipped(result.grad_sum, result.squared_norms)
-
-    try:
-        for step in range(2):  # warmup
-            one_step(step)
-        start = time.perf_counter()
-        for step in range(steps):
-            one_step(step)
-        elapsed = time.perf_counter() - start
-    finally:
-        if executor is not None:
-            executor.close()
-    return steps / elapsed
-
-
-def bench_data_parallel(steps: int, min_speedup: float) -> tuple:
-    """Return (section dict, gate passed).  The gate only arms on multi-core."""
-    cores = os.cpu_count() or 1
-    if not fork_available():
-        return {"status": "n/a", "reason": "fork start method unavailable"}, True
-    if cores < 2:
-        return {"status": "n/a", "reason": f"{cores} core(s); nothing to parallelise"}, True
-    n_workers = min(4, cores)
-    serial_sps = time_data_parallel_steps(1, steps)
-    parallel_sps = time_data_parallel_steps(n_workers, steps)
-    speedup = parallel_sps / serial_sps
-    section = {
-        "status": "measured",
-        "cores": cores,
-        "n_workers": n_workers,
-        "serial_steps_per_sec": round(serial_sps, 3),
-        "parallel_steps_per_sec": round(parallel_sps, 3),
-        "speedup": round(speedup, 3),
-        "min_speedup_required": min_speedup,
-    }
-    return section, speedup >= min_speedup
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true", help="1-epoch-scale quick run for CI")
@@ -230,13 +140,6 @@ def main(argv=None) -> int:
         default=1.5,
         help="fail (exit 1) if fused/seed speedup falls below this",
     )
-    parser.add_argument(
-        "--min-parallel-speedup",
-        type=float,
-        default=1.1,
-        help="fail (exit 1) if the multi-core data-parallel speedup falls below "
-        "this; skipped automatically on single-core runners",
-    )
     parser.add_argument("--output", type=Path, default=RESULTS_PATH)
     args = parser.parse_args(argv)
 
@@ -244,7 +147,6 @@ def main(argv=None) -> int:
     seed_sps = time_steps("seed", steps)
     fused_sps = time_steps("fused", steps)
     speedup = fused_sps / seed_sps
-    parallel_section, parallel_ok = bench_data_parallel(steps, args.min_parallel_speedup)
 
     result = {
         "benchmark": "dp_sgd_training_throughput",
@@ -254,7 +156,6 @@ def main(argv=None) -> int:
         "fused_steps_per_sec": round(fused_sps, 3),
         "speedup": round(speedup, 3),
         "min_speedup_required": args.min_speedup,
-        "data_parallel": parallel_section,
     }
     if args.smoke:
         # Never clobber the committed full-run record with smoke numbers.
@@ -268,21 +169,6 @@ def main(argv=None) -> int:
         print(f"FAIL: speedup {speedup:.2f}x < required {args.min_speedup}x", file=sys.stderr)
         return 1
     print(f"OK: fused DP-SGD step is {speedup:.2f}x faster than the seed per-parameter loop")
-    if parallel_section["status"] == "measured":
-        if not parallel_ok:
-            print(
-                f"FAIL: data-parallel speedup {parallel_section['speedup']:.2f}x "
-                f"< required {args.min_parallel_speedup}x on "
-                f"{parallel_section['cores']} cores",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"OK: data-parallel private step is {parallel_section['speedup']:.2f}x "
-            f"faster with {parallel_section['n_workers']} workers"
-        )
-    else:
-        print(f"data-parallel scaling gate: n/a ({parallel_section['reason']})")
     return 0
 
 

@@ -19,14 +19,12 @@ aggregation, optimizer stepping, and callback dispatch.  The pieces:
 - :mod:`repro.engine.trainer` — the :class:`Trainer` itself, with a private
   mode that runs the backward pass inside
   :func:`repro.nn.grad_sample_mode` and drives
-  :class:`repro.privacy.DPSGD`.
+  :class:`repro.privacy.DPSGD` (an empty Poisson draw takes a noise-only
+  step).
 - :mod:`repro.engine.checkpoint` — mid-training checkpoints (model +
   optimizer + callback + RNG state through the artifact archive layout) with
   ``Trainer.fit(..., resume_from=...)`` restoring them bit-identically, and
   :class:`CheckpointableMixin` wiring for the models.
-- :mod:`repro.engine.data_parallel` — fork-pool sharded optimizer steps for
-  non-private and Poisson-subsampled DP-SGD training; per-example clipping
-  happens in the workers, so the privacy accounting is unchanged.
 
 **Sampler choice vs. accounting assumptions.**  The subsampled-Gaussian RDP
 accountant used by :class:`repro.privacy.DPSGD` (and by
@@ -36,8 +34,9 @@ probability ``B/N``.  Shuffle-and-partition batching executes a slightly
 different mechanism, so training with :class:`ShuffleSampler` makes the stated
 epsilon an approximation (a common but imprecise practice).  The private
 models therefore default to :class:`PoissonSampler`, which makes the executed
-mechanism match the analyzed one exactly; pass ``sampler="shuffle"`` to a
-model to recover the legacy behaviour.
+mechanism match the analyzed one exactly — down to an empty draw, which still
+releases the step's Gaussian noise; pass ``sampler="shuffle"`` to a model to
+recover the legacy behaviour.
 """
 
 from repro.engine.callbacks import (
@@ -58,7 +57,6 @@ from repro.engine.checkpoint import (
     restore_trainer_state,
     save_checkpoint,
 )
-from repro.engine.data_parallel import DataParallelExecutor, fork_available
 from repro.engine.samplers import BatchSampler, PoissonSampler, ShuffleSampler, make_sampler
 from repro.engine.trainer import Trainer
 
@@ -81,7 +79,5 @@ __all__ = [
     "load_checkpoint",
     "restore_trainer_state",
     "save_checkpoint",
-    "DataParallelExecutor",
-    "fork_available",
     "Trainer",
 ]

@@ -105,8 +105,8 @@ class PrivacyBudgetTracker(Callback):
 
     The tracked value is the epsilon of the steps *executed so far*, so it can
     end below the model's ``privacy_spent()``: models report the guarantee
-    they calibrated for (an upper bound), and skipped empty Poisson batches
-    release strictly less than that budget.
+    they calibrated for (an upper bound covering every budgeted step), and a
+    run that stops early executes fewer steps than that budget.
     """
 
     def __init__(self, optimizer, delta: float):

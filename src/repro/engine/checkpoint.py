@@ -298,14 +298,13 @@ class CheckpointCallback(Callback):
 
 
 class CheckpointableMixin:
-    """Opt-in checkpoint/resume + data-parallel wiring for Trainer-based models.
+    """Opt-in checkpoint/resume wiring for Trainer-based models.
 
     Models mixing this in call :meth:`_engine_callbacks` when assembling their
     trainer's callback list and splat :meth:`_engine_fit_kwargs` into
     ``trainer.fit``; users configure the behaviour before ``fit()``::
 
         model.configure_checkpointing("run/checkpoints", every=2, resume=True)
-        model.configure_data_parallel(4)
         model.fit(X, y)
 
     With ``resume=True``, ``fit`` restores the newest complete checkpoint in
@@ -314,7 +313,6 @@ class CheckpointableMixin:
     """
 
     _checkpoint_config: Optional[dict] = None
-    _engine_workers: int = 1
 
     def configure_checkpointing(
         self, directory, every: int = 1, resume: bool = False, keep: Optional[int] = 3
@@ -329,12 +327,6 @@ class CheckpointableMixin:
         }
         return self
 
-    def configure_data_parallel(self, n_workers: int):
-        """Run training steps across ``n_workers`` forked processes."""
-        check_positive(n_workers, "n_workers")
-        self._engine_workers = int(n_workers)
-        return self
-
     def _engine_callbacks(self) -> list:
         config = self._checkpoint_config
         if not config:
@@ -344,8 +336,7 @@ class CheckpointableMixin:
         ]
 
     def _engine_fit_kwargs(self) -> dict:
-        kwargs = {"n_workers": self._engine_workers}
         config = self._checkpoint_config
         if config and config["resume"]:
-            kwargs["resume_from"] = latest_checkpoint(config["directory"])
-        return kwargs
+            return {"resume_from": latest_checkpoint(config["directory"])}
+        return {}

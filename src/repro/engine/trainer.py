@@ -11,18 +11,20 @@ returning *per-example* loss tensors for the indexed batch.  In non-private
 mode the trainer minimises their mean; in private mode it runs the backward
 pass on their *sum* inside :func:`repro.nn.grad_sample_mode` (DP-SGD needs
 per-example gradients of a sum-decomposable loss, and itself divides by the
-expected batch size).
+expected batch size).  An empty Poisson draw is skipped in non-private mode;
+in private mode it still takes a noise-only step
+(:meth:`repro.privacy.DPSGD.noise_step`), because the accountant analyses a
+noisy release at every step.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from repro.engine.checkpoint import Checkpoint, load_checkpoint, restore_trainer_state
-from repro.engine.data_parallel import DataParallelExecutor, unflatten
-from repro.engine.samplers import BatchSampler, PoissonSampler
+from repro.engine.samplers import BatchSampler
 from repro.nn import grad_sample_mode
 from repro.utils.rng import as_generator
 
@@ -49,7 +51,8 @@ class Trainer:
         When true, each step's backward pass runs inside
         :func:`repro.nn.grad_sample_mode` on the summed per-example loss and
         ``optimizer.step()`` is expected to clip, noise, and zero the
-        per-example gradients (the :class:`~repro.privacy.DPSGD` contract).
+        per-example gradients; an empty batch calls ``optimizer.noise_step()``
+        instead (the :class:`~repro.privacy.DPSGD` contract).
     rng:
         Random generator driving the sampler (models pass their own so batch
         order stays on the model's seed stream).
@@ -77,7 +80,6 @@ class Trainer:
         #: number of optimizer steps taken; both are checkpointed and restored.
         self.epoch = 0
         self.global_step = 0
-        self._executor: Optional[DataParallelExecutor] = None
 
     def fit(
         self,
@@ -85,7 +87,6 @@ class Trainer:
         epochs: int,
         loss_fn: Callable[[np.ndarray], Tuple],
         resume_from=None,
-        n_workers: int = 1,
     ) -> "Trainer":
         """Run ``epochs`` passes of ``loss_fn`` over ``n_samples`` records.
 
@@ -98,11 +99,6 @@ class Trainer:
             and the sampler RNG, then continues from the checkpointed epoch —
             bit-identically to the uninterrupted run.  ``None`` trains from
             scratch.
-        n_workers:
-            With ``n_workers > 1``, each step's forward/backward is sharded
-            across a fork-based process pool
-            (:class:`repro.engine.DataParallelExecutor`); privacy accounting
-            is unchanged because clipping stays per-example.
         """
         if n_samples is None or int(n_samples) < 1:
             raise ValueError(
@@ -110,23 +106,11 @@ class Trainer:
                 "fit() requires at least one sample"
             )
         n_samples = int(n_samples)
-        n_workers = int(n_workers)
         self.stop_training = False
         self.epoch = 0
         self.global_step = 0
         for callback in self.callbacks:
             callback.on_train_begin(self, self.model)
-        base_seed = None
-        if n_workers > 1:
-            if self.private and not isinstance(self.sampler, PoissonSampler):
-                raise ValueError(
-                    "data-parallel private training supports Poisson sampling only "
-                    "(the accountant analyzes Poisson subsampling; see repro.engine)"
-                )
-            # Drawn before any checkpoint restore: the original run consumed
-            # this draw at the same stream position, so a resumed parallel run
-            # derives the same per-(step, shard) worker seeds.
-            base_seed = int(self.rng.integers(0, 2**63 - 1))
         if resume_from is not None:
             checkpoint = (
                 resume_from
@@ -134,71 +118,57 @@ class Trainer:
                 else load_checkpoint(resume_from)
             )
             restore_trainer_state(self, checkpoint)
-        start_epoch = self.epoch
-        self._executor = None
-        if n_workers > 1:
-            self._executor = DataParallelExecutor(
-                loss_fn,
-                self.optimizer.params,
-                n_workers,
-                private=self.private,
-                max_grad_norm=getattr(self.optimizer, "max_grad_norm", None),
-                model_rng=self.rng,
-                base_seed=base_seed,
-            )
-        try:
-            for epoch in range(start_epoch, epochs):
-                self.epoch = epoch
-                epoch_recon, epoch_kl, batches = 0.0, 0.0, 0
-                for index in self.sampler.epoch_batches(n_samples, self.rng):
-                    if len(index) == 0:
-                        # A Poisson draw can be empty; there is no gradient to
-                        # release, so the step is skipped (strictly less is
-                        # released than the accountant budgeted for).
-                        continue
+        for epoch in range(self.epoch, epochs):
+            self.epoch = epoch
+            epoch_recon, epoch_kl, batches = 0.0, 0.0, 0
+            for index in self.sampler.epoch_batches(n_samples, self.rng):
+                if len(index):
                     recon, kl = self._train_step(index, loss_fn)
                     epoch_recon += recon
                     epoch_kl += kl
                     batches += 1
-                    self.global_step += 1
-                    step_logs = {
-                        "step": self.global_step,
-                        "reconstruction_loss": recon,
-                        "kl_loss": kl,
-                    }
-                    for callback in self.callbacks:
-                        callback.on_step_end(self, self.model, self.global_step, step_logs)
-                if batches == 0:
-                    # Every Poisson draw of the epoch was empty: there are no
-                    # losses to report.  Log NaN rather than a fabricated 0.0
-                    # (which would read as a perfect epoch to history consumers
-                    # and EarlyStopping); callbacks still fire so per-epoch hooks
-                    # keep their one-call-per-epoch contract.
-                    epoch_recon = epoch_kl = float("nan")
-                    batches = 1
-                logs = {
-                    "epoch": epoch,
-                    "reconstruction_loss": epoch_recon / batches,
-                    "kl_loss": epoch_kl / batches,
-                    "elbo_loss": (epoch_recon + epoch_kl) / batches,
+                elif self.private:
+                    # An empty Poisson draw still releases: the accountant
+                    # budgets a noisy update at every step, so the executed
+                    # mechanism adds the noise to a zero clipped sum.  There
+                    # are no losses to report for it.
+                    self.optimizer.noise_step()
+                    recon = kl = float("nan")
+                else:
+                    continue
+                self.global_step += 1
+                step_logs = {
+                    "step": self.global_step,
+                    "reconstruction_loss": recon,
+                    "kl_loss": kl,
                 }
                 for callback in self.callbacks:
-                    callback.on_epoch_end(self, self.model, epoch, logs)
-                self.epoch = epoch + 1
-                if self.stop_training:
-                    break
-        finally:
-            if self._executor is not None:
-                self._executor.close()
-                self._executor = None
+                    callback.on_step_end(self, self.model, self.global_step, step_logs)
+            if batches == 0:
+                # Every draw of the epoch was empty: there are no losses to
+                # report.  Log NaN rather than a fabricated 0.0 (which would
+                # read as a perfect epoch to history consumers and
+                # EarlyStopping); callbacks still fire so per-epoch hooks keep
+                # their one-call-per-epoch contract.
+                epoch_recon = epoch_kl = float("nan")
+                batches = 1
+            logs = {
+                "epoch": epoch,
+                "reconstruction_loss": epoch_recon / batches,
+                "kl_loss": epoch_kl / batches,
+                "elbo_loss": (epoch_recon + epoch_kl) / batches,
+            }
+            for callback in self.callbacks:
+                callback.on_epoch_end(self, self.model, epoch, logs)
+            self.epoch = epoch + 1
+            if self.stop_training:
+                break
         for callback in self.callbacks:
             callback.on_train_end(self, self.model)
         return self
 
     def _train_step(self, index: np.ndarray, loss_fn) -> Tuple[float, float]:
         """One optimizer step; returns the batch-mean (reconstruction, kl)."""
-        if self._executor is not None:
-            return self._parallel_step(index)
         if self.private:
             with grad_sample_mode():
                 reconstruction, kl = loss_fn(index)
@@ -210,17 +180,3 @@ class Trainer:
             (reconstruction + kl).mean().backward()
             self.optimizer.step()
         return float(reconstruction.data.mean()), float(kl.data.mean())
-
-    def _parallel_step(self, index: np.ndarray) -> Tuple[float, float]:
-        """One sharded optimizer step through the fork pool."""
-        result = self._executor.run_step(index, self.global_step)
-        n = len(index)
-        if self.private:
-            # Workers clipped their own examples; one noise draw happens here,
-            # inside the optimizer, exactly as in the serial step.
-            self.optimizer.step_from_clipped(result.grad_sum, result.squared_norms)
-        else:
-            self.optimizer.apply_gradients(
-                unflatten(result.grad_sum / n, self.optimizer.params)
-            )
-        return result.recon_sum / n, result.kl_sum / n

@@ -123,32 +123,24 @@ class DPSGD:
 
         scale = per_example_scale_factors(squared_norms, self.max_grad_norm)
         flat = np.concatenate([p.clipped_grad_sum(scale).ravel() for p in self.params])
-        self._noise_and_apply(flat, squared_norms)
-
-    def step_from_clipped(self, clipped_flat_sum, squared_norms) -> None:
-        """One private step from *externally* clipped per-example gradients.
-
-        The data-parallel executor clips each example's full gradient inside
-        the worker that computed it (clipping is per-example, so sharding the
-        batch changes nothing about the released quantity), then hands this
-        method the summed clipped gradients flattened over all parameters plus
-        the per-example squared norms for diagnostics.  Noise is drawn *here*,
-        once, from the optimizer's own generator — exactly as in :meth:`step` —
-        so the privacy accounting is identical to the serial path.
-        """
-        clipped_flat_sum = np.asarray(clipped_flat_sum, dtype=np.float64)
-        expected_size = sum(p.size for p in self.params)
-        if clipped_flat_sum.shape != (expected_size,):
-            raise ValueError(
-                f"clipped gradient sum has shape {clipped_flat_sum.shape}, "
-                f"expected ({expected_size},) for {len(self.params)} parameters"
-            )
-        self._noise_and_apply(clipped_flat_sum, np.asarray(squared_norms, dtype=np.float64))
-
-    def _noise_and_apply(self, flat: np.ndarray, squared_norms: np.ndarray) -> None:
         norms = np.sqrt(squared_norms)
         self.last_grad_norm = float(norms.mean())
         self.last_clip_fraction = float(np.mean(norms > self.max_grad_norm))
+        self._release(flat)
+
+    def noise_step(self) -> None:
+        """The step of an empty Poisson draw: Gaussian noise alone.
+
+        The accountant analyses a noisy release at every step, so a draw with
+        no examples still adds ``N(0, sigma^2 C^2 I)`` to its (zero) clipped
+        sum, divides by the expected batch size, applies the result through
+        the base optimizer, and counts as a step taken.
+        """
+        self.last_grad_norm = self.last_clip_fraction = None
+        self._release(np.zeros(sum(p.size for p in self.params)))
+
+    def _release(self, flat: np.ndarray) -> None:
+        """Noise a flat clipped-gradient sum, average it, and apply it."""
         flat = flat + self._rng.normal(
             0.0, self.noise_multiplier * self.max_grad_norm, size=flat.shape
         )

@@ -33,8 +33,6 @@ import os
 import socket
 import threading
 import time
-from collections import deque
-from concurrent.futures import Future
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import PurePath
 from urllib.parse import parse_qs, unquote, urlsplit
@@ -63,7 +61,6 @@ from repro.utils.logging import StructuredLogger
 __all__ = [
     "SynthesisHTTPServer",
     "ServerMetrics",
-    "MicroBatcher",
     "DEFAULT_MAX_ROWS",
     "WORKER_HEADER",
     "merge_metrics_payloads",
@@ -159,83 +156,6 @@ class ServerMetrics:
             },
             "rows_streamed": int(self._rows.total()),
         }
-
-
-#: Upper edges of the micro-batch occupancy histogram: how many concurrent
-#: requests each coalesced decoder pass served.
-MICROBATCH_BUCKETS = (1, 2, 4, 8, 16, 32, float("inf"))
-
-
-class MicroBatcher:
-    """Coalesces concurrent same-artifact draws into one scheduled pass.
-
-    Natural (leader/follower) batching with no timer: the first request to
-    arrive for an idle ``key`` becomes the leader and drains the key's queue;
-    requests landing while it drains are appended and served by the same
-    leader on its next sweep, so under load every sweep carries several
-    requests and an idle server adds **zero** latency — a lone request is its
-    own leader and runs immediately.
-
-    Each queued entry is executed with its request's **exact solo shapes and
-    its own seeded generator** rather than as one concatenated matrix: BLAS
-    GEMM kernels are not bit-stable across batch sizes (a row computed inside
-    a taller matrix product can differ in the last ulp from the same row
-    computed alone), and the server's contract is that a seeded response is
-    byte-identical whether or not it was coalesced.  The win is scheduling,
-    not arithmetic: one thread runs the decoder passes back to back — warm
-    fused-plan buffers, no GIL/BLAS thrashing between handler threads — while
-    follower threads merely block on a :class:`Future`.
-
-    Occupancy lands in the ``repro_inference_microbatch_occupancy`` histogram.
-    """
-
-    def __init__(self, registry: MetricsRegistry):
-        self._lock = threading.Lock()
-        self._queues: dict = {}
-        self._active: set = set()
-        self._occupancy = registry.histogram(
-            "repro_inference_microbatch_occupancy",
-            "Concurrent requests coalesced into one micro-batched decoder pass",
-            buckets=MICROBATCH_BUCKETS,
-        )
-
-    def run(self, key, draw):
-        """Execute ``draw`` inside the batch for ``key``; return its result.
-
-        Exceptions raised by ``draw`` propagate to the caller that submitted
-        it (and only that caller), exactly as if it had run unbatched.
-        """
-        future: Future = Future()
-        with self._lock:
-            self._queues.setdefault(key, deque()).append((draw, future))
-            leader = key not in self._active
-            if leader:
-                self._active.add(key)
-        if leader:
-            self._drain(key)
-        return future.result()
-
-    def _drain(self, key) -> None:
-        while True:
-            with self._lock:
-                queue = self._queues[key]
-                batch = list(queue)
-                queue.clear()
-                if not batch:
-                    # Final check under the same lock as enqueue: either a
-                    # late request got into this sweep's batch, or it finds
-                    # the key inactive and leads its own drain.
-                    self._active.discard(key)
-                    del self._queues[key]
-                    return
-            self._occupancy.observe(len(batch))
-            for draw, future in batch:
-                try:
-                    result = draw()
-                except BaseException as error:
-                    future.set_exception(error)
-                else:
-                    future.set_result(result)
 
 
 def _as_ref(cache_key: str, root) -> str:
@@ -337,11 +257,6 @@ class SynthesisHTTPServer(ThreadingHTTPServer):
         binding ``address`` — how the pre-fork pool (:mod:`repro.server.pool`)
         hands every worker the supervisor's shared listening socket.  When
         given, ``address`` is ignored.
-    micro_batch:
-        Opt-in request coalescing: concurrent small (single-chunk) requests
-        for the same artifact are merged into one scheduled decoder pass by
-        a :class:`MicroBatcher`.  Per-request seeds are preserved and every
-        response stays byte-identical to an uncoalesced one.
     """
 
     daemon_threads = True
@@ -361,7 +276,6 @@ class SynthesisHTTPServer(ThreadingHTTPServer):
         access_log: StructuredLogger = None,
         registry: MetricsRegistry = None,
         listen_socket: socket.socket = None,
-        micro_batch: bool = False,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1; got {workers!r}")
@@ -394,7 +308,6 @@ class SynthesisHTTPServer(ThreadingHTTPServer):
         self.max_rows = int(max_rows)
         self.max_connections = int(max_connections)
         self.metrics = ServerMetrics(registry)
-        self.micro_batcher = MicroBatcher(self.metrics.registry) if micro_batch else None
         #: Set by the pre-fork pool: a :class:`repro.server.control.PoolPeers`
         #: (anything with ``collect() -> list[dict]``).  When present,
         #: ``/metrics`` merges every worker's counters into one pool-wide
@@ -912,14 +825,6 @@ class _SynthesisRequestHandler(BaseHTTPRequestHandler):
             )
         try:
             stream, names = self._open_stream(ref, request, labeled)
-            batcher = self.server.micro_batcher
-            if batcher is not None and self._micro_batchable(request):
-                # Materialise the (single) chunk inside the coalesced pass,
-                # before any header goes out, so a mid-draw failure still
-                # surfaces as a clean error envelope.  Memory stays bounded:
-                # only single-chunk requests qualify.
-                key = (str(self.server.service.resolve(ref)), labeled)
-                stream = batcher.run(key, lambda stream=stream: list(stream))
             self.send_response(200)
             self.send_header("Content-Type", request.content_type)
             self.send_header("Transfer-Encoding", "chunked")
@@ -936,11 +841,6 @@ class _SynthesisRequestHandler(BaseHTTPRequestHandler):
         finally:
             self.server.release_slot()
         return 200, self._rows_sent
-
-    def _micro_batchable(self, request) -> bool:
-        """Only single-chunk draws coalesce (bounded per-request memory)."""
-        chunk = request.chunk_size or self.server.service.chunk_size
-        return request.n_samples <= chunk
 
     def _write_chunk(self, data: bytes) -> None:
         if data:

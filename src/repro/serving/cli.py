@@ -117,9 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--resume", action="store_true",
                        help="resume from the newest checkpoint in the checkpoint "
                             "directory (bit-identical to an uninterrupted run)")
-    train.add_argument("--workers", type=int, default=None,
-                       help="fork-pool size for data-parallel training steps "
-                            "(default: serial)")
 
     sample = subparsers.add_parser("sample", help="stream synthetic rows from an artifact")
     sample.add_argument("--artifact", required=True, type=Path)
@@ -186,10 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-size", type=int, default=4, help="LRU model cache size")
     serve.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
                        help="default rows per streamed chunk (the memory bound)")
-    serve.add_argument("--micro-batch", action="store_true",
-                       help="coalesce concurrent small same-artifact requests "
-                            "into one scheduled decoder pass (byte-identical "
-                            "responses, per-request seeds preserved)")
 
     obs = subparsers.add_parser(
         "obs", help="inspect metrics snapshots and trace timing trees"
@@ -320,32 +313,26 @@ def _load_dataset_training_table(args: argparse.Namespace):
 
 
 def _configure_training_engine(args: argparse.Namespace, model) -> None:
-    """Wire the checkpoint/resume and data-parallel flags into the model."""
+    """Wire the checkpoint/resume flags into the model."""
     from repro.engine import CheckpointableMixin, latest_checkpoint
 
-    wants_checkpoints = (
-        args.checkpoint_every is not None or args.checkpoint_dir is not None or args.resume
-    )
-    wants_workers = args.workers is not None and args.workers > 1
-    if (wants_checkpoints or wants_workers) and not isinstance(model, CheckpointableMixin):
-        feature = "checkpointing" if wants_checkpoints else "data-parallel training"
+    if args.checkpoint_every is None and args.checkpoint_dir is None and not args.resume:
+        return
+    if not isinstance(model, CheckpointableMixin):
         raise ValueError(
             f"model {args.model!r} does not train through the engine and "
-            f"does not support {feature}"
+            "does not support checkpointing"
         )
-    if wants_checkpoints:
-        directory = args.checkpoint_dir or args.output / "checkpoints"
-        model.configure_checkpointing(
-            directory, every=args.checkpoint_every or 1, resume=args.resume
-        )
-        if args.resume:
-            found = latest_checkpoint(directory)
-            if found is None:
-                print(f"no checkpoint under {directory}; starting fresh")
-            else:
-                print(f"resuming from {found}")
-    if wants_workers:
-        model.configure_data_parallel(args.workers)
+    directory = args.checkpoint_dir or args.output / "checkpoints"
+    model.configure_checkpointing(
+        directory, every=args.checkpoint_every or 1, resume=args.resume
+    )
+    if args.resume:
+        found = latest_checkpoint(directory)
+        if found is None:
+            print(f"no checkpoint under {directory}; starting fresh")
+        else:
+            print(f"resuming from {found}")
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -670,7 +657,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             server = SynthesisHTTPServer(
                 (args.host, args.port), service, workers=args.workers,
                 max_rows=max_rows, max_connections=args.max_connections,
-                micro_batch=args.micro_batch,
             )
         except OSError as error:
             # EADDRINUSE / EACCES and friends: the CLI's error envelope, not a
@@ -695,7 +681,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "workers": args.workers,
             "max_rows": max_rows,
             "max_connections": args.max_connections,
-            "micro_batch": args.micro_batch,
         },
     )
     try:

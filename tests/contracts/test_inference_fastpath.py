@@ -9,10 +9,7 @@ that promise end to end, registry-driven like the rest of the contract kit:
 - the identity holds through a released artifact (``save -> load -> sample``);
 - it holds over HTTP: NDJSON and CSV response bodies are identical whether
   the server decodes through the tape (``REPRO_FUSED_INFERENCE=0``) or the
-  fused plans (the default);
-- a ``--micro-batch`` server returns byte-identical bodies to an unbatched
-  one under 16 concurrent mixed-size requests with distinct seeds, and the
-  occupancy histogram accounts for every coalesced request.
+  fused plans (the default).
 """
 
 import io
@@ -158,85 +155,3 @@ def test_http_bodies_identical_fused_vs_tape(
         fused_labeled = _fetch(client, name, payload, labeled=True)
     assert tape == fused
     assert tape_labeled == fused_labeled
-
-
-# ----------------------------------------------------------------------------------
-# Micro-batching
-# ----------------------------------------------------------------------------------
-
-#: 16 concurrent mixed-size requests: (ref suffix, n_samples, seed, labeled).
-MICROBATCH_REQUESTS = [
-    ("vae", 1, 100, False),
-    ("vae", 3, 101, False),
-    ("vae", 17, 102, False),
-    ("vae", 64, 103, False),
-    ("vae", 113, 104, False),
-    ("vae", 256, 105, False),
-    ("vae", 7, 106, True),
-    ("vae", 33, 107, True),
-    ("vae", 90, 108, True),
-    ("vae", 201, 109, True),
-    ("pgm", 5, 110, False),
-    ("pgm", 48, 111, False),
-    ("pgm", 130, 112, False),
-    ("pgm", 21, 113, True),
-    ("pgm", 77, 114, True),
-    ("pgm", 300, 115, False),
-]
-
-
-def test_microbatched_bodies_identical_to_solo(fastpath_artifact_root):
-    def run_all(client, concurrent):
-        results = [None] * len(MICROBATCH_REQUESTS)
-
-        def fetch(index, ref, n, seed, labeled):
-            results[index] = _fetch(
-                client, ref, {"n_samples": n, "seed": seed}, labeled=labeled
-            )
-
-        if not concurrent:
-            for index, spec in enumerate(MICROBATCH_REQUESTS):
-                fetch(index, *spec)
-            return results
-        threads = [
-            threading.Thread(target=fetch, args=(index, *spec))
-            for index, spec in enumerate(MICROBATCH_REQUESTS)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        return results
-
-    with _serve(fastpath_artifact_root, registry=MetricsRegistry()) as (_, client):
-        solo = run_all(client, concurrent=False)
-
-    registry = MetricsRegistry()
-    with _serve(
-        fastpath_artifact_root, micro_batch=True, workers=16, registry=registry
-    ) as (server, client):
-        batched = run_all(client, concurrent=True)
-        occupancy = server.micro_batcher._occupancy.snapshot()
-
-    for spec, solo_body, batched_body in zip(MICROBATCH_REQUESTS, solo, batched):
-        assert batched_body is not None, spec
-        assert solo_body == batched_body, spec
-    # Every request routed through the batcher exactly once: the sum of
-    # sweep occupancies is the total coalesced request count.
-    assert occupancy["sum"] == len(MICROBATCH_REQUESTS)
-    assert 1 <= occupancy["count"] <= len(MICROBATCH_REQUESTS)
-
-
-def test_microbatch_skips_multi_chunk_requests(fastpath_artifact_root):
-    # A request larger than its chunk size streams normally (memory bound),
-    # and the bytes still match a non-batched server's.
-    payload = {"n_samples": 200, "seed": 42, "chunk_size": 32}
-    with _serve(fastpath_artifact_root, registry=MetricsRegistry()) as (_, client):
-        solo = _fetch(client, "vae", payload)
-    with _serve(
-        fastpath_artifact_root, micro_batch=True, registry=MetricsRegistry()
-    ) as (server, client):
-        batched = _fetch(client, "vae", payload)
-        occupancy = server.micro_batcher._occupancy.snapshot()
-    assert solo == batched
-    assert occupancy["count"] == 0  # never entered the batcher

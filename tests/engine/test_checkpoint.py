@@ -231,14 +231,10 @@ class TestCheckpointableMixin:
         with pytest.raises(ValueError):
             tiny_vae().configure_checkpointing("x", every=0)
 
-    def test_configure_data_parallel_validates_workers(self):
-        with pytest.raises(ValueError):
-            tiny_vae().configure_data_parallel(0)
-
     def test_defaults_add_nothing(self):
         model = tiny_vae()
         assert model._engine_callbacks() == []
-        assert model._engine_fit_kwargs() == {"n_workers": 1}
+        assert model._engine_fit_kwargs() == {}
 
     def test_resume_kwarg_points_at_latest(self, tmp_path):
         (tmp_path / "epoch-000004").mkdir()

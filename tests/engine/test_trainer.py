@@ -3,9 +3,56 @@
 import numpy as np
 import pytest
 
-from repro.engine import PoissonSampler, ShuffleSampler, Trainer
+from repro.engine import Callback, HistoryLogger, PoissonSampler, PrivacyBudgetTracker
+from repro.engine import ShuffleSampler, Trainer
 from repro.models import DPVAE, P3GM, PGM, VAE
 from repro.nn import Adam
+from repro.privacy import DPSGD
+from repro.privacy.accounting.calibration import dp_sgd_epsilon
+
+
+class EmptySampler(PoissonSampler):
+    """Poisson sampling whose one draw per epoch comes up empty."""
+
+    def epoch_batches(self, n_samples, rng):
+        yield np.array([], dtype=int)
+
+
+class BatchThenEmptySampler(PoissonSampler):
+    """Poisson sampling whose epoch draws five records, then none."""
+
+    def epoch_batches(self, n_samples, rng):
+        yield from (np.arange(5), np.array([], dtype=int))
+
+
+class StepRecorder(Callback):
+    """Keeps a copy of every step's logs."""
+
+    def __init__(self):
+        self.logs = []
+
+    def on_step_end(self, trainer, model, step, logs):
+        self.logs.append(dict(logs))
+
+
+def tiny_built_vae():
+    """A VAE with its networks built for 3 features, ready for a bare Trainer."""
+    model = VAE(latent_dim=2, hidden=(4,), epochs=1, batch_size=5, random_state=0)
+    model.n_input_features_ = 3
+    model._build(3)
+    return model
+
+
+def private_trainer(model, sampler, callbacks=(), **dpsgd):
+    """A private Trainer whose DPSGD draws noise from ``rng=7`` (sigma 1.5, C 2, B 5)."""
+    optimizer = DPSGD(
+        list(model._parameters()), noise_multiplier=1.5, max_grad_norm=2.0,
+        expected_batch_size=5, rng=7, **dpsgd,
+    )
+    return Trainer(
+        model, optimizer, sampler, callbacks=[*callbacks, HistoryLogger()],
+        private=True, rng=model._rng,
+    )
 
 
 def seed_loop_history(X, **vae_params):
@@ -94,17 +141,9 @@ class TestTrainerMechanics:
 
     def test_poisson_empty_batches_are_skipped(self):
         """A sampler that only yields empty batches must not crash or divide by 0."""
-        model = VAE(latent_dim=2, hidden=(4,), epochs=1, batch_size=5, random_state=0)
+        model = tiny_built_vae()
         data = model._attach_labels(np.full((20, 3), 0.5), None)
-        model.n_input_features_ = data.shape[1]
-        model._build(model.n_input_features_)
-
-        class EmptySampler(PoissonSampler):
-            def epoch_batches(self, n_samples, rng):
-                yield np.array([], dtype=int)
-
-        from repro.engine import HistoryLogger
-
+        before = [p.data.copy() for p in model._parameters()]
         trainer = Trainer(
             model,
             model._make_optimizer(len(data)),
@@ -116,6 +155,77 @@ class TestTrainerMechanics:
         # A batch-less epoch must not fabricate 0.0 losses; it logs NaN.
         assert len(model.history) == 1
         assert np.isnan(model.history.last("elbo_loss"))
+        assert trainer.global_step == 0
+        # Non-private training has nothing to release for an empty draw.
+        for p, start in zip(model._parameters(), before):
+            assert p.data.tobytes() == start.tobytes()
+
+    def test_nonprivate_empty_draw_between_batches_is_not_a_step(self):
+        model = tiny_built_vae()
+        data = model._attach_labels(np.full((20, 3), 0.5), None)
+        steps = StepRecorder()
+        trainer = Trainer(
+            model,
+            model._make_optimizer(len(data)),
+            BatchThenEmptySampler(sample_rate=0.25, steps=2),
+            callbacks=[steps, HistoryLogger()],
+            rng=model._rng,
+        )
+        trainer.fit(len(data), 1, lambda idx: model._per_example_loss(data[idx]))
+        assert [logs["step"] for logs in steps.logs] == [1]
+        assert trainer.global_step == 1
+        record, first = model.history.records[-1], steps.logs[0]
+        assert (record["reconstruction_loss"], record["kl_loss"]) == (
+            first["reconstruction_loss"], first["kl_loss"]
+        )
+
+    def test_private_empty_draw_takes_a_noise_only_step(self):
+        """The accountant budgets a noisy release per step, empty draws included."""
+        model = tiny_built_vae()
+        params = list(model._parameters())
+        before = [p.data.copy() for p in params]
+
+        def loss_fn(index):
+            raise AssertionError("an empty draw must not run the loss")
+
+        trainer = private_trainer(model, EmptySampler(sample_rate=0.25, steps=1), lr=0.1)
+        trainer.fit(20, 1, loss_fn)
+
+        noise = np.random.default_rng(7).normal(0.0, 1.5 * 2.0, size=sum(p.size for p in params))
+        noise /= 5
+        offset = 0
+        for p, start in zip(params, before):
+            step = noise[offset : offset + p.size].reshape(p.shape)
+            offset += p.size
+            assert p.data.tobytes() == (start - 0.1 * step).tobytes()
+        assert trainer.optimizer.steps_taken == 1
+        assert trainer.global_step == 1
+        assert np.isnan(model.history.last("elbo_loss"))
+
+    def test_private_empty_draw_adds_no_loss_to_the_epoch_means(self):
+        model = tiny_built_vae()
+        data = model._attach_labels(np.full((20, 3), 0.5), None)
+        steps = StepRecorder()
+        trainer = private_trainer(model, BatchThenEmptySampler(sample_rate=0.25, steps=2), [steps])
+        trainer.fit(len(data), 1, lambda idx: model._per_example_loss(data[idx]))
+        # Step callbacks see both steps; the empty one carries NaN losses.
+        assert [logs["step"] for logs in steps.logs] == [1, 2]
+        assert np.isnan([steps.logs[1]["reconstruction_loss"], steps.logs[1]["kl_loss"]]).all()
+        assert trainer.optimizer.steps_taken == trainer.global_step == 2
+        # The epoch means are those of the one non-empty batch.
+        record, first = model.history.records[-1], steps.logs[0]
+        assert (record["reconstruction_loss"], record["kl_loss"]) == (
+            first["reconstruction_loss"], first["kl_loss"]
+        )
+
+    def test_budget_tracker_counts_noise_only_steps(self):
+        model = tiny_built_vae()
+        trainer = private_trainer(model, EmptySampler(sample_rate=0.25, steps=1), sample_rate=0.25)
+        trainer.callbacks.insert(0, PrivacyBudgetTracker(trainer.optimizer, delta=1e-5))
+        trainer.fit(20, 2, lambda idx: None)
+        epsilons = [record["epsilon"] for record in model.history.records]
+        assert epsilons == [dp_sgd_epsilon(1.5, 0.25, steps, 1e-5) for steps in (1, 2)]
+        assert 0 < epsilons[0] < epsilons[1]
 
     def test_no_model_train_loops_remain(self):
         """The four hand-rolled loops must stay deleted (acceptance criterion)."""

@@ -201,37 +201,55 @@ class TestDPSGDState:
         assert int(state["base.t"]) == 2
         assert any(key.startswith("base.m.") for key in state)
 
-    def test_step_from_clipped_matches_serial_step_with_same_inputs(self):
-        """Pre-clipped sums through step_from_clipped == the in-process step."""
-        from repro.privacy.clipping import per_example_scale_factors
 
+class TestDPSGDNoiseStep:
+    """The step of an empty Poisson draw releases noise alone."""
+
+    def make_optimizer(self, params, rng=0):
+        return DPSGD(
+            params,
+            noise_multiplier=1.3,
+            max_grad_norm=0.7,
+            expected_batch_size=16,
+            sample_rate=0.25,
+            base_optimizer=SGD(params, lr=0.5),
+            rng=rng,
+        )
+
+    def test_noise_step_equals_a_step_on_all_zero_gradients(self):
         model, X, y = make_model_and_data()
-        params = list(model.parameters())
-        opt = self.make_optimizer(params)
+        zero_model, _, _ = make_model_and_data()
+        opt = self.make_optimizer(list(model.parameters()))
+        zero_opt = self.make_optimizer(list(zero_model.parameters()))
         with grad_sample_mode():
-            F.mse_loss(model(Tensor(X)), y, reduction="sum").backward()
-        squared = sum(p.grad_sample_sq_norms() for p in params)
-        scale = per_example_scale_factors(squared, opt.max_grad_norm)
-        flat = np.concatenate([p.clipped_grad_sum(scale).ravel() for p in params])
-
-        model2, _, _ = make_model_and_data()
-        opt2 = self.make_optimizer(list(model2.parameters()))
-        with grad_sample_mode():
-            F.mse_loss(model2(Tensor(X)), y, reduction="sum").backward()
-        opt2.step()
-
-        opt.step_from_clipped(flat, squared)
-        for a, b in zip(opt.params, opt2.params):
+            (F.mse_loss(zero_model(Tensor(X)), y, reduction="sum") * 0.0).backward()
+        zero_opt.step()
+        opt.noise_step()
+        for a, b in zip(opt.params, zero_opt.params):
             assert a.data.tobytes() == b.data.tobytes()
-        assert opt.steps_taken == opt2.steps_taken == 1
-        assert opt.last_grad_norm == opt2.last_grad_norm
-        assert opt.last_clip_fraction == opt2.last_clip_fraction
 
-    def test_step_from_clipped_validates_flat_shape(self):
+    def test_noise_steps_are_counted_and_accounted(self):
+        from repro.privacy.accounting.calibration import dp_sgd_epsilon
+
         model, _, _ = make_model_and_data()
         opt = self.make_optimizer(list(model.parameters()))
-        with pytest.raises(ValueError, match="clipped gradient sum"):
-            opt.step_from_clipped(np.zeros(3), np.ones(8))
+        for _ in range(3):
+            opt.noise_step()
+        assert opt.steps_taken == 3
+        assert opt.privacy_spent(1e-5) == dp_sgd_epsilon(1.3, 0.25, 3, 1e-5) > 0
+
+    def test_noise_step_clears_diagnostics_and_stale_grad_samples(self):
+        model, X, y = make_model_and_data()
+        opt = self.make_optimizer(list(model.parameters()))
+        with grad_sample_mode():
+            F.mse_loss(model(Tensor(X)), y, reduction="sum").backward()
+        opt.step()
+        assert opt.last_grad_norm is not None
+        with grad_sample_mode():
+            F.mse_loss(model(Tensor(X)), y, reduction="sum").backward()
+        opt.noise_step()
+        assert opt.last_grad_norm is None and opt.last_clip_fraction is None
+        assert all(p.grad_sample is None for p in opt.params)
 
 
 class TestDPSGDLearning:

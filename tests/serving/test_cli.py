@@ -33,6 +33,20 @@ class TestTrain:
         }
         assert manifest["hyperparameters"]["hidden"] == [16]
 
+    def test_workers_option_is_rejected(self, capsys):
+        # Training steps run serially; there is no worker-pool option to set.
+        from repro.serving.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                [
+                    "train", "--model", "vae", "--dataset", "credit",
+                    "--output", "artifact", "--workers", "2",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
     def test_inapplicable_hyperparameters_are_ignored_not_fatal(self, tmp_path, capsys):
         code = main(
             [
