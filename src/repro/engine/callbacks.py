@@ -203,23 +203,23 @@ class MetricsCallback(Callback):
       — last step's mean per-example gradient norm and clipped fraction, when
       the optimizer records them (:class:`repro.privacy.DPSGD` does);
     - ``repro_privacy_epsilon_spent{model}`` — the privacy budget gauge.  Per
-      epoch it tracks the accountant's spend for the steps executed so far
-      (``optimizer.privacy_spent(delta)``); at ``on_train_end`` it is set to
-      the model's own ``privacy_spent()`` epsilon, so the final gauge value
+      epoch it tracks the accountant's spend for the steps executed so far,
+      read from ``logs["epsilon"]``; at ``on_train_end`` it is set to the
+      model's own ``privacy_spent()`` epsilon, so the final gauge value
       equals the released guarantee *exactly*.
 
-    The callback only enriches the registry — it never mutates ``logs`` — so
-    its position in the callback list does not matter.
+    The callback only enriches the registry — it never mutates ``logs``.  In
+    a private run it must follow the :class:`PrivacyBudgetTracker` in the
+    callback list, which is what writes ``logs["epsilon"]`` each epoch.
     """
 
-    def __init__(self, registry=None, delta: Optional[float] = None):
+    def __init__(self, registry=None):
         # Imported here (not at module top) to keep repro.engine importable
         # without repro.obs in pathological partial checkouts; the cost is one
         # dict lookup per construction.
         from repro.obs import get_registry
 
         self.registry = registry if registry is not None else get_registry()
-        self.delta = delta
         self._train_started: Optional[float] = None
         self._epoch_started: Optional[float] = None
         self._step_started: Optional[float] = None
@@ -288,10 +288,6 @@ class MetricsCallback(Callback):
         self._epoch_started = now
         self._step_started = now
         epsilon = logs.get("epsilon")
-        if epsilon is None and self.delta is not None:
-            spent = getattr(trainer.optimizer, "privacy_spent", None)
-            if callable(spent):
-                epsilon = spent(self.delta)
         if epsilon is not None and math.isfinite(epsilon):
             self._epsilon.set(epsilon, model=self._label)
 

@@ -115,7 +115,7 @@ class DPVAE(VAE):
             make_sampler(self.sampler, n_samples, self.batch_size),
             callbacks=[
                 PrivacyBudgetTracker(optimizer, self.delta),
-                MetricsCallback(delta=self.delta),
+                MetricsCallback(),
                 HistoryLogger(),
                 EpochHook(),
                 *self._engine_callbacks(),

@@ -232,7 +232,7 @@ class P3GM(PGM):
             make_sampler(self.sampler, n_samples, self.batch_size),
             callbacks=[
                 PrivacyBudgetTracker(optimizer, self.delta),
-                MetricsCallback(delta=self.delta),
+                MetricsCallback(),
                 HistoryLogger(),
                 EpochHook(),
                 *self._engine_callbacks(),

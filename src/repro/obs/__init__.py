@@ -1,38 +1,30 @@
-"""``repro.obs`` — the unified observability layer.
+"""``repro.obs`` — the unified observability layer: metrics and tracing.
 
-Three complementary instruments, all stdlib-only and safe to leave on in
+Two complementary instruments, both stdlib-only and safe to leave on in
 production:
 
 - **Metrics** (:mod:`repro.obs.registry`): a process-wide
   :class:`MetricsRegistry` of thread-safe, labeled :class:`Counter` /
-  :class:`Gauge` / :class:`Histogram` families with exact bucket counts and
-  two expositions — the JSON the dashboards already consume and the
-  Prometheus text format scrapers expect.  ``REPRO_OBS_DISABLED=1`` turns
-  every instrument into a no-op.
+  :class:`Gauge` / :class:`Histogram` families with exact bucket counts.
+  Its JSON :meth:`~MetricsRegistry.snapshot` is the one source both
+  expositions come from: :func:`merge_snapshots` sums snapshots across
+  processes and :func:`render_prometheus_snapshot` renders the Prometheus
+  text format scrapers expect.  ``REPRO_OBS_DISABLED=1`` turns every
+  instrument into a no-op.
 - **Tracing** (:mod:`repro.obs.trace`): ``span("model.sample")`` context
   managers building parent/child timing trees with per-request / per-trial
   correlation ids, emitted as JSON lines through
   :class:`repro.utils.logging.StructuredLogger` (enable with
   ``REPRO_TRACE=path`` or :func:`configure_tracer`).
-- **Profiling** (:mod:`repro.obs.profiling`): opt-in per-phase wall/CPU time
-  and peak-RSS / tracemalloc-peak measurement (``REPRO_PROFILE=1`` +
-  :func:`maybe_profile`).
 
 Consumers: :mod:`repro.server` serves the registry at ``/metrics`` (JSON and
 ``?format=prometheus``), :class:`repro.serving.SynthesisService` counts cache
 traffic and times artifact loads / streamed chunks,
 :class:`repro.engine.MetricsCallback` publishes training throughput and the
 privacy-budget gauge, :class:`repro.experiments.Runner` emits per-trial spans,
-and ``python -m repro obs`` renders snapshots and trace trees.
+and ``python -m repro obs`` renders a server's ``/metrics`` and trace trees.
 """
 
-from repro.obs.profiling import (
-    PhaseProfile,
-    Profiler,
-    maybe_profile,
-    profile_phase,
-    profiling_enabled,
-)
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -69,9 +61,4 @@ __all__ = [
     "configure_tracer",
     "current_span",
     "span",
-    "PhaseProfile",
-    "Profiler",
-    "profile_phase",
-    "maybe_profile",
-    "profiling_enabled",
 ]

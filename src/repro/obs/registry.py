@@ -19,8 +19,8 @@ Design points:
 - **Exact-bucket histograms.**  Observations are counted into fixed upper
   edges with exact integer counts (no sketching); the JSON exposition keeps
   the per-bucket (non-cumulative) counts the PR-5 ``/metrics`` endpoint
-  established, while the Prometheus exposition renders the standard
-  cumulative ``le`` form.
+  established, while the Prometheus exposition, rendered from that same
+  snapshot, uses the standard cumulative ``le`` form.
 - **Disable switch.**  ``REPRO_OBS_DISABLED=1`` makes :func:`get_registry`
   hand out a disabled registry whose instruments are no-ops, so the
   instrumentation can be priced (``benchmarks/bench_obs_overhead.py``) and
@@ -31,7 +31,6 @@ Everything here is stdlib-only.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
@@ -83,15 +82,6 @@ class _Instrument:
         """``{label_values_tuple: value}`` — a consistent copy."""
         with self._lock:
             return dict(self._samples)
-
-    def _format_labels(self, values: tuple) -> str:
-        if not self.label_names:
-            return ""
-        pairs = ",".join(
-            f'{name}="{_escape_label(value)}"'
-            for name, value in zip(self.label_names, values)
-        )
-        return "{" + pairs + "}"
 
 
 def _escape_label(value: str) -> str:
@@ -216,9 +206,10 @@ class Histogram(_Instrument):
 class _NullInstrument:
     """The disabled registry's no-op instrument: accepts anything, stores nothing."""
 
-    def __init__(self, name: str, kind: str, buckets=DEFAULT_LATENCY_BUCKETS):
+    def __init__(self, name: str, kind: str, help: str = "", buckets=DEFAULT_LATENCY_BUCKETS):
         self.name = name
         self.kind = kind
+        self.help = help
         self.label_names = ()
         edges = tuple(float(edge) for edge in buckets)
         if edges and not math.isinf(edges[-1]):
@@ -278,7 +269,7 @@ class MetricsRegistry:
                 family = self._families.get(name)
                 if family is None:
                     family = self._families[name] = _NullInstrument(
-                        name, cls.kind, kwargs.get("buckets", DEFAULT_LATENCY_BUCKETS)
+                        name, cls.kind, help, kwargs.get("buckets", DEFAULT_LATENCY_BUCKETS)
                     )
                 return family
         with self._lock:
@@ -328,7 +319,12 @@ class MetricsRegistry:
     # -- exposition ------------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """JSON-safe dump: every family, every label combination."""
+        """JSON-safe dump: every family, every label combination.
+
+        An enabled registry reports an unlabeled counter or gauge as ``0``
+        before its first sample, so a fresh family is visible in every
+        exposition; a disabled registry reports families with no series.
+        """
         out: dict = {}
         for family in self.families():
             if family.kind == "histogram":
@@ -338,63 +334,19 @@ class MetricsRegistry:
                     series.append({"labels": labels, **family.snapshot(**labels)})
                 out[family.name] = {"type": "histogram", "series": series}
             else:
+                samples = family.samples()
+                if not samples and not family.label_names and self.enabled:
+                    samples = {(): 0}
                 series = [
                     {"labels": dict(zip(family.label_names, key)), "value": value}
-                    for key, value in sorted(family.samples().items())
+                    for key, value in sorted(samples.items())
                 ]
                 out[family.name] = {"type": family.kind, "series": series}
         return out
 
     def render_prometheus(self) -> str:
         """The Prometheus text exposition format (version 0.0.4)."""
-        lines = []
-        for family in self.families():
-            if family.help:
-                lines.append(f"# HELP {family.name} {family.help}")
-            lines.append(f"# TYPE {family.name} {family.kind}")
-            if family.kind == "histogram":
-                for key in sorted(family.samples()):
-                    labels = dict(zip(family.label_names, key))
-                    snap = family.snapshot(**labels)
-                    cumulative = 0
-                    for edge, count in zip(self._edges(family), snap["buckets"].values()):
-                        cumulative += count
-                        le = "+Inf" if math.isinf(edge) else _format_value(edge)
-                        bucket_labels = self._with_le(family, key, le)
-                        lines.append(
-                            f"{family.name}_bucket{bucket_labels} {cumulative}"
-                        )
-                    label_text = family._format_labels(key) if key else ""
-                    lines.append(
-                        f"{family.name}_sum{label_text} {_format_value(snap['sum'])}"
-                    )
-                    lines.append(f"{family.name}_count{label_text} {snap['count']}")
-            else:
-                samples = family.samples()
-                if not samples and not family.label_names:
-                    samples = {(): 0}
-                for key in sorted(samples):
-                    label_text = family._format_labels(key) if key else ""
-                    lines.append(
-                        f"{family.name}{label_text} {_format_value(samples[key])}"
-                    )
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    @staticmethod
-    def _edges(family) -> tuple:
-        return family.buckets
-
-    @staticmethod
-    def _with_le(family, key: tuple, le: str) -> str:
-        pairs = [
-            f'{name}="{_escape_label(value)}"'
-            for name, value in zip(family.label_names, key)
-        ]
-        pairs.append(f'le="{le}"')
-        return "{" + ",".join(pairs) + "}"
-
-    def render_json(self) -> str:
-        return json.dumps(self.snapshot(), indent=2, sort_keys=True)
+        return render_prometheus_snapshot(self.snapshot(), self)
 
 
 def merge_snapshots(snapshots: Sequence[dict]) -> dict:
@@ -463,10 +415,10 @@ def merge_snapshots(snapshots: Sequence[dict]) -> dict:
 def render_prometheus_snapshot(snapshot: dict, registry: Optional["MetricsRegistry"] = None) -> str:
     """Prometheus text exposition rendered from a snapshot dict.
 
-    The live :meth:`MetricsRegistry.render_prometheus` reads its own
-    families; this renders the same format from a (possibly merged,
-    cross-process) :meth:`snapshot` dump instead.  ``registry`` — typically
-    the scraping worker's own — supplies ``# HELP`` text for families it
+    Every Prometheus text in the package comes from here: the snapshot is a
+    registry's own (:meth:`MetricsRegistry.render_prometheus`) or one merged
+    across processes (the server's ``/metrics``).  ``registry`` — typically
+    the scraping process's own — supplies ``# HELP`` text for families it
     also has locally; snapshots themselves carry no help strings.
     """
     lines = []

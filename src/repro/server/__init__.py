@@ -5,9 +5,11 @@ threaded HTTP server (:mod:`repro.server.app`) with a typed wire protocol
 (:mod:`repro.server.protocol`) and a matching stdlib client
 (:mod:`repro.server.client`).  Launch it with ``python -m repro serve``.
 For multi-core boxes, :mod:`repro.server.pool` pre-forks N such servers
-onto one shared listening socket (``serve --processes N``) with pool-wide
-``/metrics`` aggregation over a unix-socket control channel
-(:mod:`repro.server.control`).
+onto one shared listening socket (``serve --processes N``); peers exchange
+their ``/metrics`` entries over a unix-socket control channel
+(:mod:`repro.server.control`).  ``/metrics`` has one code path: a single
+process is a pool of one, and every view is built from one merged registry
+snapshot.
 
 The conformance suite (``tests/server/``) pins the defining property: a
 seeded HTTP response decodes to arrays **bit-identical** to the in-process
@@ -18,7 +20,6 @@ transport, never drift.
 from repro.server.app import (
     DEFAULT_MAX_ROWS,
     WORKER_HEADER,
-    ServerMetrics,
     SynthesisHTTPServer,
 )
 from repro.server.client import ServerError, ServingClient
@@ -31,7 +32,6 @@ __all__ = [
     "ProtocolError",
     "SampleRequest",
     "ServerError",
-    "ServerMetrics",
     "ServingClient",
     "SynthesisHTTPServer",
     "WorkerPool",

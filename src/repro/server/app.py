@@ -10,7 +10,8 @@ Routes
 ------
 - ``GET  /healthz``                         — liveness (no model touched)
 - ``GET  /metrics``                         — request counts, latency
-  histogram, worker occupancy, and the service's cache stats
+  histogram, worker occupancy, and the service's cache stats, built from
+  one merged registry snapshot (a single process is a pool of one)
 - ``GET  /v1/models``                       — refs this server can serve
 - ``GET  /v1/models/{ref}``                 — one artifact's manifest summary
 - ``POST /v1/models/{ref}/sample``          — stream synthetic rows
@@ -40,6 +41,7 @@ from urllib.parse import parse_qs, unquote, urlsplit
 import numpy as np
 
 from repro.obs import (
+    Histogram,
     MetricsRegistry,
     get_registry,
     get_tracer,
@@ -58,13 +60,7 @@ from repro.server.protocol import (
 )
 from repro.utils.logging import StructuredLogger
 
-__all__ = [
-    "SynthesisHTTPServer",
-    "ServerMetrics",
-    "DEFAULT_MAX_ROWS",
-    "WORKER_HEADER",
-    "merge_metrics_payloads",
-]
+__all__ = ["SynthesisHTTPServer", "DEFAULT_MAX_ROWS", "WORKER_HEADER"]
 
 DEFAULT_MAX_ROWS = 1_000_000
 
@@ -77,87 +73,6 @@ WORKER_HEADER = "X-Repro-Worker"
 #: a byte of it is read.
 MAX_BODY_BYTES = 1 << 20
 
-#: Upper edges (seconds) of the request-latency histogram.
-LATENCY_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, float("inf"))
-
-
-class ServerMetrics:
-    """The HTTP tier's request metrics, backed by a :class:`MetricsRegistry`.
-
-    This used to be a hand-rolled lock-guarded dict; it is now a thin facade
-    over the shared registry (counters/gauges/histograms with exact buckets),
-    so the same numbers are visible through ``/metrics`` JSON, the Prometheus
-    exposition, and ``python -m repro obs``.  :meth:`snapshot` reconstructs
-    the exact JSON shape the PR-5 endpoint established, so existing
-    dashboards keep working.
-    """
-
-    def __init__(self, registry: MetricsRegistry = None):
-        self.registry = registry if registry is not None else get_registry()
-        self._requests = self.registry.counter(
-            "repro_http_requests_total",
-            "HTTP requests completed, by route and status",
-            labels=("route", "status"),
-        )
-        self._in_flight = self.registry.gauge(
-            "repro_http_requests_in_flight", "HTTP requests currently being handled"
-        )
-        self._rejected = self.registry.counter(
-            "repro_http_requests_rejected_total",
-            "Requests refused with 429 because every worker slot was busy",
-        )
-        self._latency = self.registry.histogram(
-            "repro_http_request_seconds",
-            "End-to-end request latency in seconds",
-            buckets=LATENCY_BUCKETS,
-        )
-        self._rows = self.registry.counter(
-            "repro_http_rows_streamed_total", "Synthetic rows streamed to clients"
-        )
-
-    def start_request(self) -> None:
-        self._in_flight.inc()
-
-    def in_flight(self) -> int:
-        """Requests currently inside ``_handle`` (the drain signal)."""
-        return int(self._in_flight.value())
-
-    def finish_request(self, route: str, status: int, elapsed: float, rows: int = 0) -> None:
-        self._in_flight.dec()
-        self._requests.inc(route=route, status=str(status))
-        if status == 429:
-            self._rejected.inc()
-        self._latency.observe(elapsed)
-        if rows:
-            self._rows.inc(rows)
-
-    def snapshot(self) -> dict:
-        by_status: dict = {}
-        by_route: dict = {}
-        total = 0
-        for (route, status), count in self._requests.samples().items():
-            count = int(count)
-            total += count
-            by_status[status] = by_status.get(status, 0) + count
-            by_route[route] = by_route.get(route, 0) + count
-        latency = self._latency.snapshot()
-        return {
-            "requests": {
-                "total": total,
-                "in_flight": int(self._in_flight.value()),
-                "rejected": int(self._rejected.total()),
-                "by_status": dict(sorted(by_status.items())),
-                "by_route": dict(sorted(by_route.items())),
-            },
-            "latency_seconds": {
-                "buckets": latency["buckets"],
-                "sum": latency["sum"],
-                "count": latency["count"],
-            },
-            "rows_streamed": int(self._rows.total()),
-        }
-
-
 def _as_ref(cache_key: str, root) -> str:
     path = PurePath(cache_key)
     if root is not None:
@@ -168,55 +83,59 @@ def _as_ref(cache_key: str, root) -> str:
     return path.name
 
 
-def merge_metrics_payloads(payloads) -> dict:
-    """Merge per-worker ``/metrics`` JSON payloads into one pool-wide view.
+def _metrics_json(snapshot: dict, entries: list) -> dict:
+    """The ``/metrics`` JSON document for one scrape.
 
-    Counters, gauges, and histogram buckets sum; ``max_rows`` is a shared
-    configuration value (identical across workers, merged with ``max`` for
-    robustness); the cache listing is the union of every worker's resident
-    refs.  The result keeps the exact PR-5 key shape, so a dashboard pointed
-    at a pooled server keeps working unchanged.
+    ``entries`` are :meth:`SynthesisHTTPServer.control_payload` dicts, one
+    per process (a single process is a pool of one) and ``snapshot`` is
+    their merged registry.  The original endpoint's request, latency and row
+    keys are read off the snapshot; ``workers``, ``max_rows`` and ``cache``
+    are summed over the entries from server and service state, so they stay
+    exact when the registry is disabled.
     """
-    merged = {
+
+    def series(name: str) -> list:
+        return snapshot.get(name, {}).get("series", [])
+
+    def total(name: str) -> int:
+        return int(sum(entry["value"] for entry in series(name)))
+
+    def summed(section: str, fields) -> dict:
+        return {field: sum(entry[section][field] for entry in entries) for field in fields}
+
+    by_status: dict = {}
+    by_route: dict = {}
+    for entry in series("repro_http_requests_total"):
+        labels, count = entry["labels"], int(entry["value"])
+        by_status[labels["status"]] = by_status.get(labels["status"], 0) + count
+        by_route[labels["route"]] = by_route.get(labels["route"], 0) + count
+    latency = series("repro_http_request_seconds")
+    # Before the first request finishes, or with the registry disabled, the
+    # family has no series: report an empty histogram on the same grid.
+    latency = latency[0] if latency else Histogram("repro_http_request_seconds").snapshot()
+    cached = sorted({ref for entry in entries for ref in entry["cache"]["cached"]})
+    return {
         "requests": {
-            "total": 0, "in_flight": 0, "rejected": 0,
-            "by_status": {}, "by_route": {},
+            "total": sum(by_status.values()),
+            "in_flight": total("repro_http_requests_in_flight"),
+            "rejected": total("repro_http_requests_rejected_total"),
+            "by_status": dict(sorted(by_status.items())),
+            "by_route": dict(sorted(by_route.items())),
         },
-        "latency_seconds": {"buckets": {}, "sum": 0.0, "count": 0},
-        "rows_streamed": 0,
-        "workers": {"capacity": 0, "in_use": 0},
-        "max_rows": 0,
-        "cache": {"size": 0, "capacity": 0, "hits": 0, "misses": 0, "cached": set()},
+        "latency_seconds": {key: latency[key] for key in ("buckets", "sum", "count")},
+        "rows_streamed": total("repro_http_rows_streamed_total"),
+        "workers": summed("workers", ("capacity", "in_use")),
+        "max_rows": max(entry["max_rows"] for entry in entries),
+        "cache": {
+            **summed("cache", ("size", "capacity", "hits", "misses")),
+            "cached": cached,
+        },
+        "registry": snapshot,
+        "pool": {
+            "processes": len(entries),
+            "workers": sorted(entry["pid"] for entry in entries),
+        },
     }
-    for payload in payloads:
-        requests = payload["requests"]
-        target = merged["requests"]
-        target["total"] += requests["total"]
-        target["in_flight"] += requests["in_flight"]
-        target["rejected"] += requests["rejected"]
-        for field in ("by_status", "by_route"):
-            for key, count in requests[field].items():
-                target[field][key] = target[field].get(key, 0) + count
-        latency = payload["latency_seconds"]
-        buckets = merged["latency_seconds"]["buckets"]
-        for edge, count in latency["buckets"].items():
-            buckets[edge] = buckets.get(edge, 0) + count
-        merged["latency_seconds"]["sum"] = round(
-            merged["latency_seconds"]["sum"] + latency["sum"], 6
-        )
-        merged["latency_seconds"]["count"] += latency["count"]
-        merged["rows_streamed"] += payload["rows_streamed"]
-        merged["workers"]["capacity"] += payload["workers"]["capacity"]
-        merged["workers"]["in_use"] += payload["workers"]["in_use"]
-        merged["max_rows"] = max(merged["max_rows"], payload["max_rows"])
-        cache = payload["cache"]
-        for field in ("size", "capacity", "hits", "misses"):
-            merged["cache"][field] += cache[field]
-        merged["cache"]["cached"].update(cache["cached"])
-    merged["requests"]["by_status"] = dict(sorted(merged["requests"]["by_status"].items()))
-    merged["requests"]["by_route"] = dict(sorted(merged["requests"]["by_route"].items()))
-    merged["cache"]["cached"] = sorted(merged["cache"]["cached"])
-    return merged
 
 
 class SynthesisHTTPServer(ThreadingHTTPServer):
@@ -307,18 +226,45 @@ class SynthesisHTTPServer(ThreadingHTTPServer):
         self.workers = int(workers)
         self.max_rows = int(max_rows)
         self.max_connections = int(max_connections)
-        self.metrics = ServerMetrics(registry)
+        self.registry = registry if registry is not None else get_registry()
+        self._requests = self.registry.counter(
+            "repro_http_requests_total",
+            "HTTP requests completed, by route and status",
+            labels=("route", "status"),
+        )
+        self._rejected = self.registry.counter(
+            "repro_http_requests_rejected_total",
+            "Requests refused with 429 because every worker slot was busy",
+        )
+        self._latency = self.registry.histogram(
+            "repro_http_request_seconds", "End-to-end request latency in seconds"
+        )
+        self._rows = self.registry.counter(
+            "repro_http_rows_streamed_total", "Synthetic rows streamed to clients"
+        )
+        # Set at scrape time from server and service state (control_payload).
+        self._in_flight_gauge = self.registry.gauge(
+            "repro_http_requests_in_flight", "HTTP requests currently being handled"
+        )
+        self._slots_gauge = self.registry.gauge(
+            "repro_http_worker_slots", "Synthesis worker slots", labels=("state",)
+        )
+        self._cache_gauge = self.registry.gauge(
+            "repro_service_cache_models", "Models in the LRU cache", labels=("state",)
+        )
         #: Set by the pre-fork pool: a :class:`repro.server.control.PoolPeers`
         #: (anything with ``collect() -> list[dict]``).  When present,
-        #: ``/metrics`` merges every worker's counters into one pool-wide
-        #: exposition instead of reporting this process alone.
+        #: ``/metrics`` merges the peers' entries with this process's own.
         self.peers = None
         self.tracer = get_tracer()
         self.access_log = access_log if access_log is not None else StructuredLogger()
         self._connections = threading.BoundedSemaphore(self.max_connections)
         self._slots = threading.BoundedSemaphore(self.workers)
-        self._slots_lock = threading.Lock()
+        # Guards the two live counts.  The pool's drain waits on them, never on
+        # the registry, whose instruments are no-ops when it is disabled.
+        self._state_lock = threading.Lock()
         self._slots_in_use = 0
+        self._in_flight = 0
         self._seed_lock = threading.Lock()
         self._seed_sequence = np.random.SeedSequence()
 
@@ -350,58 +296,68 @@ class SynthesisHTTPServer(ThreadingHTTPServer):
         """Try to claim a synthesis worker slot without blocking."""
         acquired = self._slots.acquire(blocking=False)
         if acquired:
-            with self._slots_lock:
+            with self._state_lock:
                 self._slots_in_use += 1
         return acquired
 
     def release_slot(self) -> None:
-        with self._slots_lock:
+        with self._state_lock:
             self._slots_in_use -= 1
         self._slots.release()
 
     @property
     def slots_in_use(self) -> int:
         """Synthesis streams currently holding a worker slot (the 429 signal)."""
-        with self._slots_lock:
+        with self._state_lock:
             return self._slots_in_use
 
-    def metrics_payload(self) -> dict:
-        """The ``/metrics`` JSON payload for **this process** (sans registry).
+    @property
+    def in_flight(self) -> int:
+        """Requests currently inside the handler, slot or not (the drain signal)."""
+        with self._state_lock:
+            return self._in_flight
 
-        Refreshes the scrape-time gauges (worker-slot occupancy, cache size)
-        on the registry so the JSON and Prometheus expositions agree, then
-        assembles the PR-5 top-level shape.  In pooled mode this is also what
-        each worker serves over the control channel for aggregation.
+    def request_started(self) -> None:
+        with self._state_lock:
+            self._in_flight += 1
+
+    def request_finished(self, route: str, status: int, elapsed: float, rows: int) -> None:
+        with self._state_lock:
+            self._in_flight -= 1
+        self._requests.inc(route=route, status=str(status))
+        if status == 429:
+            self._rejected.inc()
+        self._latency.observe(elapsed)
+        if rows:
+            self._rows.inc(rows)
+
+    def control_payload(self) -> dict:
+        """This process's entry in a ``/metrics`` scrape.
+
+        Refreshes the scrape-time gauges from server and service state, then
+        returns the registry snapshot beside that state: ``workers``,
+        ``max_rows`` and ``cache`` stay exact when the registry is disabled.
+        The pool's control channel serves the same dict to peer workers.
         """
-        registry = self.metrics.registry
-        workers = registry.gauge(
-            "repro_http_worker_slots", "Synthesis worker slots", labels=("state",)
-        )
-        workers.set(self.workers, state="capacity")
-        workers.set(self.slots_in_use, state="in_use")
+        with self._state_lock:
+            in_flight, in_use = self._in_flight, self._slots_in_use
         cache = self.service.cache_stats
-        cache_gauge = registry.gauge(
-            "repro_service_cache_models", "Models in the LRU cache", labels=("state",)
-        )
-        cache_gauge.set(cache["size"], state="size")
-        cache_gauge.set(cache["capacity"], state="capacity")
-        payload = self.metrics.snapshot()
-        payload["workers"] = {"capacity": self.workers, "in_use": self.slots_in_use}
-        payload["max_rows"] = self.max_rows
+        self._in_flight_gauge.set(in_flight)
+        self._slots_gauge.set(self.workers, state="capacity")
+        self._slots_gauge.set(in_use, state="in_use")
+        self._cache_gauge.set(cache["size"], state="size")
+        self._cache_gauge.set(cache["capacity"], state="capacity")
         # The service keys its cache by resolved path; on the wire only
         # root-relative refs are shown (absolute server paths are the
         # operator's business, not the client's).
         root = self.service.artifact_root
         cache["cached"] = [_as_ref(key, root) for key in cache["cached"]]
-        payload["cache"] = cache
-        return payload
-
-    def control_payload(self) -> dict:
-        """What this worker serves over the pool's control channel."""
         return {
             "pid": os.getpid(),
-            "metrics": self.metrics_payload(),
-            "registry": self.metrics.registry.snapshot(),
+            "registry": self.registry.snapshot(),
+            "workers": {"capacity": self.workers, "in_use": in_use},
+            "max_rows": self.max_rows,
+            "cache": cache,
         }
 
     def next_request_seed(self) -> int:
@@ -551,7 +507,7 @@ class _SynthesisRequestHandler(BaseHTTPRequestHandler):
 
     def _handle(self, method: str) -> None:
         started = time.perf_counter()
-        self.server.metrics.start_request()
+        self.server.request_started()
         route_name, status, rows = "unknown", 500, 0
         pending_error = None
         # One span per request; an X-Request-Id header pins the correlation
@@ -624,7 +580,7 @@ class _SynthesisRequestHandler(BaseHTTPRequestHandler):
             # An aborted stream (client gone, mid-stream failure) still moved
             # rows; count what actually went out, not just completed requests.
             rows = max(rows, self._rows_sent)
-            self.server.metrics.finish_request(route_name, status, elapsed, rows)
+            self.server.request_finished(route_name, status, elapsed, rows)
             self.server.access_log.log(
                 "http_request",
                 method=method,
@@ -679,44 +635,21 @@ class _SynthesisRequestHandler(BaseHTTPRequestHandler):
                 "invalid_request",
                 f"unknown metrics format {fmt!r}; expected 'json' or 'prometheus'",
             )
-        registry = self.server.metrics.registry
-        if self.server.peers is None:
-            # Single process: this registry is the whole story.
-            if fmt == "prometheus":
-                self._send_body(
-                    200,
-                    registry.render_prometheus().encode("utf-8"),
-                    "text/plain; version=0.0.4; charset=utf-8",
-                )
-                return 200
-            payload = self.server.metrics_payload()
-            # The full registry dump (service, training, profiling families)
-            # rides along under its own key; the PR-5 top-level keys stay
-            # untouched.
-            payload["registry"] = registry.snapshot()
-            self._send_json(200, payload)
-            return 200
-        # Pooled: whichever worker catches the scrape merges every worker's
-        # counters so the exposition covers the whole pool.  A peer that just
-        # died degrades the scrape to partial data rather than failing it.
-        entries = [self.server.control_payload()] + self.server.peers.collect()
-        merged_registry = merge_snapshots([entry["registry"] for entry in entries])
+        # One path for every server: a single process is a pool of one.  A
+        # peer that just died degrades the scrape to partial data rather than
+        # failing it.
+        entries = [self.server.control_payload()]
+        if self.server.peers is not None:
+            entries += self.server.peers.collect()
+        snapshot = merge_snapshots([entry["registry"] for entry in entries])
         if fmt == "prometheus":
             self._send_body(
                 200,
-                render_prometheus_snapshot(merged_registry, registry).encode("utf-8"),
+                render_prometheus_snapshot(snapshot, self.server.registry).encode("utf-8"),
                 "text/plain; version=0.0.4; charset=utf-8",
             )
-            return 200
-        payload = merge_metrics_payloads([entry["metrics"] for entry in entries])
-        payload["registry"] = merged_registry
-        payload["pool"] = {
-            "processes": len(entries),
-            "workers": sorted(
-                entry["pid"] for entry in entries if entry.get("pid") is not None
-            ),
-        }
-        self._send_json(200, payload)
+        else:
+            self._send_json(200, _metrics_json(snapshot, entries))
         return 200
 
     def _do_models(self) -> int:

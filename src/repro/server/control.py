@@ -8,8 +8,9 @@ directory (``worker-<index>.sock``); the worker handling a scrape connects to
 every peer socket, collects their payloads, and merges.
 
 The protocol is deliberately trivial: connecting *is* the request.  The
-server side sends one JSON document (the worker's metrics payload + registry
-snapshot) and closes; the client reads to EOF.  Unreachable sockets are
+server side sends one JSON document (the worker's ``/metrics`` entry: its
+registry snapshot plus server and cache state) and closes; the client reads
+to EOF.  Unreachable sockets are
 skipped — a worker that just died (and is being respawned by the supervisor)
 must degrade a scrape to partial data, never fail it.
 

@@ -15,9 +15,10 @@ that ceiling the classic Unix way:
   :class:`~repro.obs.MetricsRegistry`, its own thread pool — no shared
   mutable state, no cross-process locks.  All workers ``accept()`` on the
   shared socket and the kernel load-balances connections across them;
-- ``/metrics`` stays whole-pool: every worker serves its counters over a
+- ``/metrics`` stays whole-pool: every worker serves its scrape entry over a
   unix-socket **control channel** (:mod:`repro.server.control`) and whichever
-  worker catches a scrape merges all of them (:func:`repro.obs.merge_snapshots`);
+  worker catches a scrape merges all of them, exactly as a single process
+  merges its own one entry (:func:`repro.obs.merge_snapshots`);
 - **SIGTERM drains gracefully**: the supervisor forwards it, each worker
   stops accepting, finishes its in-flight streams (bounded by
   ``drain_timeout``), and only then exits.  SIGKILLing a worker mid-stream
@@ -323,7 +324,7 @@ def _worker_main(
         server.shutdown()  # stop accepting; handler threads keep running
         deadline = time.monotonic() + drain_timeout
         while time.monotonic() < deadline:
-            if server.metrics.in_flight() <= 0 and server.slots_in_use <= 0:
+            if server.in_flight <= 0 and server.slots_in_use <= 0:
                 break
             time.sleep(0.05)
         # One beat for the final response bytes to clear the socket buffers.

@@ -23,10 +23,10 @@ Subcommands
   HTTP synthesis API of :mod:`repro.server` (``/healthz``, ``/metrics``,
   ``/v1/models``, streamed ``POST .../sample``), with a bounded worker pool
   and structured JSON access logs on stderr.
-- ``obs``      — inspect observability data: pretty-print a metrics snapshot
-  (from a running server via ``--url``, or this process's registry) as a
-  table, JSON, or Prometheus text, or render a ``REPRO_TRACE`` span JSONL
-  file as per-request/per-trial timing trees (``--trace``).
+- ``obs``      — inspect observability data: pretty-print a running
+  server's ``/metrics`` (``--url``) as a table, JSON, or Prometheus text, or
+  render a ``REPRO_TRACE`` span JSONL file as per-request/per-trial timing
+  trees (``--trace``).  One of the two sources is required.
 
 Examples::
 
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs = subparsers.add_parser(
         "obs", help="inspect metrics snapshots and trace timing trees"
     )
-    obs_source = obs.add_mutually_exclusive_group()
+    obs_source = obs.add_mutually_exclusive_group(required=True)
     obs_source.add_argument("--url", default=None,
                             help="base URL of a running `repro serve` instance; "
                                  "fetches and renders its /metrics")
@@ -797,34 +797,21 @@ def _render_trace(path: Path) -> int:
 def _cmd_obs(args: argparse.Namespace) -> int:
     if args.trace is not None:
         return _render_trace(args.trace)
-    if args.url is not None:
-        from urllib.request import urlopen
+    from urllib.request import urlopen
 
-        url = args.url.rstrip("/") + "/metrics"
-        if args.format == "prometheus":
-            url += "?format=prometheus"
-        with urlopen(url) as response:
-            body = response.read().decode("utf-8")
-        if args.format == "prometheus":
-            print(body, end="")
-            return 0
-        payload = json.loads(body)
-        if args.format == "json":
-            print(json.dumps(payload, indent=2, sort_keys=True))
-            return 0
-        return _print_registry_table(payload.get("registry", {}))
-    # No source given: this process's own registry (useful after in-process
-    # training/benchmarks, and as a smoke check of the exposition formats).
-    from repro.obs import get_registry
-
-    registry = get_registry()
+    url = args.url.rstrip("/") + "/metrics"
     if args.format == "prometheus":
-        print(registry.render_prometheus(), end="")
+        url += "?format=prometheus"
+    with urlopen(url) as response:
+        body = response.read().decode("utf-8")
+    if args.format == "prometheus":
+        print(body, end="")
         return 0
+    payload = json.loads(body)
     if args.format == "json":
-        print(registry.render_json())
+        print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    return _print_registry_table(registry.snapshot())
+    return _print_registry_table(payload.get("registry", {}))
 
 
 # ----------------------------------------------------------------------------------

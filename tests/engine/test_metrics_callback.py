@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.engine import MetricsCallback
-from repro.models import DPVAE, VAE
+from repro.models import DPVAE, P3GM, VAE
 from repro.obs import MetricsRegistry, set_registry
 
 
@@ -95,6 +95,22 @@ class TestPrivacyBudgetGauge:
         assert observed == [0, 1, 2]
         # The per-epoch value is the accountant's spend so far: positive and
         # non-decreasing while steps accumulate.
+        assert all(value > 0 for value in gauge_reads)
+        assert gauge_reads == sorted(gauge_reads)
+
+    def test_p3gm_gauge_tracks_accountant_during_training(self, registry, toy_unlabeled_data):
+        # The per-epoch value comes from logs["epsilon"], which P3GM's
+        # PrivacyBudgetTracker writes before MetricsCallback reads it.
+        gauge_reads = []
+        model = P3GM(
+            latent_dim=2, hidden=(8,), epochs=2, batch_size=50, n_mixture_components=2,
+            em_iterations=2, epsilon=2.0, random_state=0,
+        )
+        model.epoch_callback = lambda model_obj, epoch: gauge_reads.append(
+            registry.get("repro_privacy_epsilon_spent").value(model="P3GM")
+        )
+        model.fit(toy_unlabeled_data)
+        assert len(gauge_reads) == 2
         assert all(value > 0 for value in gauge_reads)
         assert gauge_reads == sorted(gauge_reads)
 

@@ -188,10 +188,24 @@ class TestJsonExposition:
     def test_snapshot_roundtrips_through_json(self, registry):
         registry.counter("a_total", labels=("k",)).inc(k="x")
         registry.histogram("b_seconds", buckets=(1.0,)).observe(0.2)
-        payload = json.loads(registry.render_json())
+        payload = json.loads(json.dumps(registry.snapshot()))
         assert payload["a_total"]["type"] == "counter"
         assert payload["a_total"]["series"] == [{"labels": {"k": "x"}, "value": 1}]
         assert payload["b_seconds"]["series"][0]["buckets"] == {"1.0": 1, "+Inf": 0}
+
+    def test_fresh_unlabeled_counter_and_gauge_read_zero(self, registry):
+        registry.counter("fresh_total", "never incremented")
+        registry.gauge("fresh_gauge", "never set")
+        registry.counter("fresh_labeled_total", labels=("k",))
+        registry.histogram("fresh_seconds", buckets=(1.0,))
+        snapshot = registry.snapshot()
+        assert snapshot["fresh_total"]["series"] == [{"labels": {}, "value": 0}]
+        assert snapshot["fresh_gauge"]["series"] == [{"labels": {}, "value": 0}]
+        # A labeled family has no label values to report yet, and an empty
+        # histogram has no observations to bucket.
+        assert snapshot["fresh_labeled_total"]["series"] == []
+        assert snapshot["fresh_seconds"]["series"] == []
+        assert "fresh_total 0\n" in registry.render_prometheus()
 
 
 class TestDisableSwitch:
@@ -209,6 +223,22 @@ class TestDisableSwitch:
             "c_total": {"type": "counter", "series": []},
             "h": {"type": "histogram", "series": []},
         }
+
+    def test_disabled_unlabeled_families_still_report_no_series(self):
+        registry = MetricsRegistry(enabled=False)
+        registry.counter("plain_total").inc()
+        registry.gauge("plain_gauge").set(3)
+        assert registry.snapshot() == {
+            "plain_gauge": {"type": "gauge", "series": []},
+            "plain_total": {"type": "counter", "series": []},
+        }
+
+    def test_disabled_registry_renders_help_and_type_lines_only(self):
+        registry = MetricsRegistry(enabled=False)
+        registry.counter("plain_total", "what it counts").inc()
+        assert registry.render_prometheus() == (
+            "# HELP plain_total what it counts\n# TYPE plain_total counter\n"
+        )
 
     def test_env_disable_flows_through_get_registry(self, monkeypatch):
         monkeypatch.setenv("REPRO_OBS_DISABLED", "1")
@@ -323,15 +353,3 @@ class TestRenderPrometheusSnapshot:
         without = render_prometheus_snapshot(merged)
         assert "# HELP" not in without
         assert "c_total 5" in without
-
-    def test_matches_the_live_renderer_for_a_single_registry(self):
-        registry = MetricsRegistry()
-        registry.counter("requests_total", "requests", labels=("route",)).inc(
-            4, route="sample"
-        )
-        registry.gauge("g", "a gauge").set(2.5)
-        registry.histogram("h", "a histogram", buckets=(1.0,)).observe(0.3)
-        assert (
-            render_prometheus_snapshot(registry.snapshot(), registry=registry)
-            == registry.render_prometheus()
-        )

@@ -260,37 +260,11 @@ class TestCsvHoldout:
 
 
 class TestObs:
-    @pytest.fixture()
-    def fresh_registry(self):
-        from repro.obs import MetricsRegistry, set_registry
-
-        mine = MetricsRegistry()
-        previous = set_registry(mine)
-        yield mine
-        set_registry(previous)
-
-    def test_local_registry_table(self, fresh_registry, capsys):
-        fresh_registry.counter(
-            "repro_demo_total", "demo", labels=("kind",)
-        ).inc(3, kind="a")
-        assert main(["obs"]) == 0
-        out = capsys.readouterr().out
-        assert "repro_demo_total (counter)" in out
-        assert "kind=a" in out
-
-    def test_local_registry_prometheus_and_json(self, fresh_registry, capsys):
-        fresh_registry.counter("repro_demo_total", "demo").inc(2)
-        assert main(["obs", "--format", "prometheus"]) == 0
-        text = capsys.readouterr().out
-        assert "# TYPE repro_demo_total counter" in text
-        assert "repro_demo_total 2" in text
-        assert main(["obs", "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["repro_demo_total"]["type"] == "counter"
-
-    def test_empty_registry_prints_a_placeholder(self, fresh_registry, capsys):
-        assert main(["obs"]) == 0
-        assert "(no metrics recorded)" in capsys.readouterr().out
+    def test_a_source_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["obs"])
+        assert exit_info.value.code == 2
+        assert "one of the arguments --url --trace is required" in capsys.readouterr().err
 
     def test_trace_rendering_builds_indented_trees(self, tmp_path, capsys):
         from repro.obs import Tracer
@@ -352,12 +326,6 @@ class TestObs:
         with pytest.raises(SystemExit):
             main(["obs", "--url", "http://x", "--trace", "t.jsonl"])
         assert "not allowed with" in capsys.readouterr().err
-
-    def test_parser_defaults(self):
-        from repro.serving.cli import build_parser
-
-        args = build_parser().parse_args(["obs"])
-        assert (args.url, args.trace, args.format) == (None, None, "table")
 
 
 class TestBench:
