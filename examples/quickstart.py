@@ -33,13 +33,14 @@ def main() -> None:
     print(f"  DP-SGD noise multiplier: {model.noise_multiplier_:.2f}")
     print(f"  DP-EM noise scale:       {model.sigma_em_:.2f}")
 
-    # The training engine logs the cumulative DP-SGD epsilon alongside the
-    # losses every epoch (repro.engine.PrivacyBudgetTracker), so the budget
-    # consumed by the decoding phase can be inspected after the fact.
+    # The training engine logs the composed epsilon spent so far (DP-PCA and
+    # DP-EM plus the DP-SGD steps taken) alongside the losses every epoch
+    # (repro.engine.PrivacyBudgetTracker); the last epoch reads the
+    # guarantee privacy_spent() reports.
     for record in model.history:
         print(
             f"  epoch {record['epoch']}: elbo={record['elbo_loss']:.2f}  "
-            f"dp-sgd epsilon so far={record['epsilon']:.3f}"
+            f"epsilon so far={record['epsilon']:.3f}"
         )
 
     # 3. Release synthetic data with the same label ratio as the training data.

@@ -12,7 +12,8 @@ aggregation, optimizer stepping, and callback dispatch.  The pieces:
   training).
 - :mod:`repro.engine.callbacks` — a small hook API (``on_train_begin`` /
   ``on_step_end`` / ``on_epoch_end`` / ``on_train_end``) with built-ins for
-  history logging, privacy-budget tracking, ELBO-plateau early stopping, and
+  history logging, privacy-budget tracking (the model accountant's composed
+  epsilon at the steps taken so far), ELBO-plateau early stopping, and
   :class:`MetricsCallback`, which publishes throughput, step/epoch timing,
   gradient-clipping diagnostics, and the privacy-budget gauge onto the
   :mod:`repro.obs` metrics registry.
@@ -26,9 +27,10 @@ aggregation, optimizer stepping, and callback dispatch.  The pieces:
   ``Trainer.fit(..., resume_from=...)`` restoring them bit-identically, and
   :class:`CheckpointableMixin` wiring for the models.
 
-**Sampler choice vs. accounting assumptions.**  The subsampled-Gaussian RDP
-accountant used by :class:`repro.privacy.DPSGD` (and by
-:class:`~repro.privacy.accounting.P3GMAccountant` for the DP-SGD phase)
+**Sampler choice vs. accounting assumptions.**  The one privacy accountant,
+:class:`~repro.privacy.accounting.P3GMAccountant`, accounts every DP-SGD step
+(for P3GM, and with DP-PCA and DP-EM switched off for DP-VAE and
+:class:`repro.privacy.DPSGD`) with the subsampled-Gaussian RDP bound, which
 analyzes *Poisson* subsampling: each record enters a batch independently with
 probability ``B/N``.  Shuffle-and-partition batching executes a slightly
 different mechanism, so training with :class:`ShuffleSampler` makes the stated

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -97,24 +98,28 @@ class HistoryLogger(Callback):
 
 
 class PrivacyBudgetTracker(Callback):
-    """Add the cumulative privacy spend to each epoch's log record.
+    """Add the composed privacy spend so far to each epoch's log record.
 
-    ``optimizer`` must expose ``privacy_spent(delta) -> epsilon`` (as
-    :class:`repro.privacy.DPSGD` does); the value is stored under
-    ``logs["epsilon"]`` so it lands in the same history record as the losses.
+    ``accountant`` is the model's own
+    :class:`~repro.privacy.accounting.P3GMAccountant` (a DP-SGD-only model
+    passes one with DP-PCA and DP-EM switched off).  At every epoch end the
+    tracker reports that accountant's epsilon at the number of DP-SGD steps
+    the trainer's optimizer has taken, under ``logs["epsilon"]``, so it lands
+    in the same history record as the losses.
 
-    The tracked value is the epsilon of the steps *executed so far*, so it can
-    end below the model's ``privacy_spent()``: models report the guarantee
-    they calibrated for (an upper bound covering every budgeted step), and a
-    run that stops early executes fewer steps than that budget.
+    The value composes every mechanism that has run: the phases before
+    training (DP-PCA, DP-EM) plus the DP-SGD steps *executed so far*.  An
+    uninterrupted run therefore ends exactly at the model's
+    ``privacy_spent()``; a run that stops early ends below it.
     """
 
-    def __init__(self, optimizer, delta: float):
-        self.optimizer = optimizer
+    def __init__(self, accountant, delta: float):
+        self.accountant = accountant
         self.delta = delta
 
     def on_epoch_end(self, trainer, model, epoch: int, logs: dict) -> None:
-        logs["epsilon"] = self.optimizer.privacy_spent(self.delta)
+        spent = replace(self.accountant, sgd_steps=trainer.optimizer.steps_taken)
+        logs["epsilon"] = spent.epsilon(self.delta)
 
 
 class EarlyStopping(Callback):
@@ -203,10 +208,12 @@ class MetricsCallback(Callback):
       — last step's mean per-example gradient norm and clipped fraction, when
       the optimizer records them (:class:`repro.privacy.DPSGD` does);
     - ``repro_privacy_epsilon_spent{model}`` — the privacy budget gauge.  Per
-      epoch it tracks the accountant's spend for the steps executed so far,
-      read from ``logs["epsilon"]``; at ``on_train_end`` it is set to the
-      model's own ``privacy_spent()`` epsilon, so the final gauge value
-      equals the released guarantee *exactly*.
+      epoch it tracks the model accountant's composed spend so far (DP-PCA
+      and DP-EM plus the DP-SGD steps executed), read from
+      ``logs["epsilon"]``; at ``on_train_end`` it is set to the model's own
+      ``privacy_spent()`` epsilon, so the final gauge value equals the
+      released guarantee *exactly* (an uninterrupted run's last epoch
+      already reads it).
 
     The callback only enriches the registry — it never mutates ``logs``.  In
     a private run it must follow the :class:`PrivacyBudgetTracker` in the

@@ -94,7 +94,3 @@ class DPGaussianMixture(GaussianMixture):
                 eigenvalues = np.maximum(eigenvalues, self.reg_covar)
                 projected[k] = (eigenvectors * eigenvalues) @ eigenvectors.T
             self.covariances_ = projected
-
-    def privacy_iterations(self) -> int:
-        """Number of noisy EM iterations (each consumes budget per Eq. 3)."""
-        return self.n_iter

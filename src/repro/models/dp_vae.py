@@ -2,11 +2,13 @@
 
 This is the model the paper calls "VAE with DP-SGD" (Table I, Figure 2c).
 Its noise multiplier is either given explicitly or calibrated against a target
-``(epsilon, delta)`` using the subsampled-Gaussian RDP accountant.
+``(epsilon, delta)`` with the Theorem-4 accountant, DP-PCA and DP-EM switched
+off.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -21,7 +23,7 @@ from repro.engine import (
 )
 from repro.models.vae import VAE
 from repro.nn import Adam
-from repro.privacy.accounting import calibrate_dp_sgd_sigma, dp_sgd_epsilon
+from repro.privacy.accounting import P3GMAccountant
 from repro.privacy.dp_sgd import DPSGD
 from repro.utils.validation import check_positive, check_probability
 
@@ -82,6 +84,7 @@ class DPVAE(VAE):
         self.delta = delta
         self.noise_multiplier = noise_multiplier
         self.max_grad_norm = max_grad_norm
+        self.accountant_: Optional[P3GMAccountant] = None
         self._fitted_epsilon: Optional[float] = None
         self._dp_optimizer: Optional[DPSGD] = None
 
@@ -90,10 +93,14 @@ class DPVAE(VAE):
         sample_rate = batch_size / n_samples
         steps = self.epochs * int(np.ceil(n_samples / batch_size))
 
+        accountant = P3GMAccountant(
+            epsilon_pca=0.0, em_iterations=0, sample_rate=sample_rate, sgd_steps=steps
+        )
         sigma = self.noise_multiplier
         if sigma is None:
-            sigma = calibrate_dp_sgd_sigma(self.epsilon, sample_rate, steps, self.delta)
-        self._fitted_epsilon = dp_sgd_epsilon(sigma, sample_rate, steps, self.delta)
+            sigma = accountant.calibrate_sigma_sgd(self.epsilon, self.delta)
+        self.accountant_ = replace(accountant, sigma_sgd=sigma)
+        self._fitted_epsilon = self.accountant_.epsilon(self.delta)
 
         params = list(self._parameters())
         optimizer = DPSGD(
@@ -114,7 +121,7 @@ class DPVAE(VAE):
             optimizer,
             make_sampler(self.sampler, n_samples, self.batch_size),
             callbacks=[
-                PrivacyBudgetTracker(optimizer, self.delta),
+                PrivacyBudgetTracker(self.accountant_, self.delta),
                 MetricsCallback(),
                 HistoryLogger(),
                 EpochHook(),

@@ -19,6 +19,7 @@ and ``noise_multiplier`` calibrated instead.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -158,22 +159,22 @@ class P3GM(PGM):
                 # size (DP-SGD alone would exceed the target).  Re-calibrate
                 # sigma_s to consume ~90% of the budget and give DP-EM the rest,
                 # so the model always honours the requested (epsilon, delta).
-                accountant.sigma_em = 1e9
-                self.noise_multiplier_ = accountant.calibrate_sigma_sgd(
+                self.noise_multiplier_ = replace(accountant, sigma_em=1e9).calibrate_sigma_sgd(
                     0.9 * self.epsilon, self.delta, low=self.noise_multiplier or 0.3
                 )
-                accountant.sigma_sgd = self.noise_multiplier_
-                self.sigma_em_ = accountant.calibrate_sigma_em(self.epsilon, self.delta)
-            accountant.sigma_em = self.sigma_em_
+                self.sigma_em_ = replace(
+                    accountant, sigma_sgd=self.noise_multiplier_
+                ).calibrate_sigma_em(self.epsilon, self.delta)
         elif self.noise_multiplier is None:
             self.noise_multiplier_ = accountant.calibrate_sigma_sgd(self.epsilon, self.delta)
-            accountant.sigma_sgd = self.noise_multiplier_
             self.sigma_em_ = self.sigma_em
         else:
             self.noise_multiplier_ = self.noise_multiplier
             self.sigma_em_ = self.sigma_em
 
-        self.accountant_ = accountant
+        self.accountant_ = replace(
+            accountant, sigma_em=self.sigma_em_, sigma_sgd=self.noise_multiplier_
+        )
 
     # ------------------------------------------------------------------
     # Differentially private encoding phase
@@ -231,7 +232,7 @@ class P3GM(PGM):
             optimizer,
             make_sampler(self.sampler, n_samples, self.batch_size),
             callbacks=[
-                PrivacyBudgetTracker(optimizer, self.delta),
+                PrivacyBudgetTracker(self.accountant_, self.delta),
                 MetricsCallback(),
                 HistoryLogger(),
                 EpochHook(),
@@ -285,8 +286,6 @@ class P3GM(PGM):
         state["accountant.epsilon_pca"] = np.asarray(self.accountant_.epsilon_pca)
         state["accountant.sample_rate"] = np.asarray(self.accountant_.sample_rate)
         state["accountant.sgd_steps"] = np.asarray(self.accountant_.sgd_steps)
-        state["accountant.max_order"] = np.asarray(self.accountant_.max_order)
-        state["accountant.sgd_accounting"] = np.asarray(self.accountant_.sgd_accounting)
         return state
 
     def load_state_dict(self, state: dict) -> "P3GM":
@@ -302,8 +301,6 @@ class P3GM(PGM):
             sigma_sgd=self.noise_multiplier_,
             sample_rate=float(state["accountant.sample_rate"]),
             sgd_steps=int(state["accountant.sgd_steps"]),
-            max_order=int(state["accountant.max_order"]),
-            sgd_accounting=state["accountant.sgd_accounting"].item(),
         )
         super().load_state_dict(state)
         return self

@@ -1,33 +1,16 @@
 """``repro.privacy`` — differential-privacy mechanisms, DP-SGD, and accounting."""
 
 from repro.privacy import accounting
-from repro.privacy.clipping import (
-    clip_by_l2_norm,
-    clip_rows,
-    fused_clip_sum,
-    per_example_clip,
-    per_example_scale_factors,
-)
+from repro.privacy.clipping import clip_rows, per_example_clip, per_example_scale_factors
 from repro.privacy.dp_sgd import DPSGD
-from repro.privacy.mechanisms import (
-    gaussian_mechanism,
-    gaussian_sigma,
-    laplace_mechanism,
-    wishart_mechanism,
-    wishart_noise,
-)
+from repro.privacy.mechanisms import laplace_mechanism, wishart_noise
 
 __all__ = [
     "accounting",
-    "gaussian_sigma",
-    "gaussian_mechanism",
     "laplace_mechanism",
     "wishart_noise",
-    "wishart_mechanism",
-    "clip_by_l2_norm",
     "clip_rows",
     "per_example_clip",
     "per_example_scale_factors",
-    "fused_clip_sum",
     "DPSGD",
 ]

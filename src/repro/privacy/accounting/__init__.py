@@ -1,21 +1,12 @@
-"""Privacy accounting: RDP, moments accountant, zCDP, and the P3GM composition."""
+"""Privacy accounting: the Theorem-4 P3GM accountant and its RDP, moments and zCDP parts."""
 
-from repro.privacy.accounting.calibration import calibrate_dp_sgd_sigma, dp_sgd_epsilon
-from repro.privacy.accounting.composition import (
-    PipelineBudget,
-    baseline_p3gm_epsilon,
-    sequential_composition,
-)
 from repro.privacy.accounting.moments import (
     dp_em_moment_bound,
     dp_sgd_moment_bound,
-    moment_to_rdp,
     moments_epsilon,
 )
-from repro.privacy.accounting.p3gm_accountant import P3GMAccountant
+from repro.privacy.accounting.p3gm_accountant import ORDERS, P3GMAccountant
 from repro.privacy.accounting.rdp import (
-    DEFAULT_ALPHAS,
-    RDPAccountant,
     rdp_from_pure_dp,
     rdp_gaussian,
     rdp_subsampled_gaussian,
@@ -24,23 +15,16 @@ from repro.privacy.accounting.rdp import (
 from repro.privacy.accounting.zcdp import zcdp_compose, zcdp_gaussian, zcdp_to_dp
 
 __all__ = [
-    "DEFAULT_ALPHAS",
-    "RDPAccountant",
+    "ORDERS",
+    "P3GMAccountant",
     "rdp_gaussian",
     "rdp_from_pure_dp",
     "rdp_subsampled_gaussian",
     "rdp_to_dp",
     "dp_em_moment_bound",
     "dp_sgd_moment_bound",
-    "moment_to_rdp",
     "moments_epsilon",
     "zcdp_gaussian",
     "zcdp_compose",
     "zcdp_to_dp",
-    "sequential_composition",
-    "PipelineBudget",
-    "baseline_p3gm_epsilon",
-    "P3GMAccountant",
-    "dp_sgd_epsilon",
-    "calibrate_dp_sgd_sigma",
 ]

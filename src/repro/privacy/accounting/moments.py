@@ -11,7 +11,8 @@ per-step moment bounds:
 
 Theorem 3 in the paper turns a moment bound into RDP:
 a mechanism with ``lambda``-th moment ``MA(lambda)`` satisfies
-``(lambda + 1, MA(lambda)/lambda)``-RDP.
+``(lambda + 1, MA(lambda)/lambda)``-RDP; the P3GM accountant applies it to
+the DP-EM bound.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from repro.utils.validation import check_positive, check_probability
 __all__ = [
     "dp_em_moment_bound",
     "dp_sgd_moment_bound",
-    "moment_to_rdp",
     "moments_epsilon",
 ]
 
@@ -87,13 +87,6 @@ def dp_sgd_moment_bound(sample_rate: float, sigma_s: float, lam: int) -> float:
         if not math.isfinite(total):
             return math.inf
     return total
-
-
-def moment_to_rdp(moment_value: float, lam: int) -> tuple:
-    """Paper Theorem 3: an ``MA(lam)`` bound gives ``(lam+1, MA(lam)/lam)``-RDP."""
-    if lam < 1:
-        raise ValueError("lam must be >= 1")
-    return lam + 1, moment_value / lam
 
 
 def moments_epsilon(total_moments, lams, delta: float):

@@ -10,14 +10,14 @@ the paper):
   binomial bound of Mironov/Wang for Poisson subsampling,
 - conversion from RDP to ``(epsilon, delta)``-DP (Theorem 2 in the paper).
 
-An :class:`RDPAccountant` composes heterogeneous mechanisms by summing their
-RDP curves over a grid of orders and reporting the tightest conversion.
+:class:`~repro.privacy.accounting.P3GMAccountant` composes these curves over
+its one grid of orders.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -25,17 +25,11 @@ from scipy.special import gammaln, logsumexp
 from repro.utils.validation import check_positive, check_probability
 
 __all__ = [
-    "DEFAULT_ALPHAS",
     "rdp_gaussian",
     "rdp_from_pure_dp",
     "rdp_subsampled_gaussian",
     "rdp_to_dp",
-    "RDPAccountant",
 ]
-
-# Integer orders work for the subsampled Gaussian binomial bound and are the
-# standard grid used by DP-SGD implementations.
-DEFAULT_ALPHAS: tuple = tuple(range(2, 64)) + (72, 96, 128, 192, 256, 384, 512)
 
 
 def rdp_gaussian(sigma: float, alpha: float, sensitivity: float = 1.0) -> float:
@@ -111,59 +105,3 @@ def rdp_to_dp(rdp_values: Sequence[float], alphas: Sequence[float], delta: float
     eps = rdp_values + math.log(1.0 / delta) / (alphas - 1.0)
     best = int(np.argmin(eps))
     return float(eps[best]), float(alphas[best])
-
-
-class RDPAccountant:
-    """Compose heterogeneous mechanisms under RDP.
-
-    Mechanisms are registered as RDP curves evaluated on a shared grid of
-    orders; composition is addition of curves (paper Theorem 1), and the final
-    ``(epsilon, delta)`` guarantee is obtained with :func:`rdp_to_dp`.
-    """
-
-    def __init__(self, alphas: Iterable[float] = DEFAULT_ALPHAS):
-        self.alphas = tuple(float(a) for a in alphas)
-        if any(a <= 1 for a in self.alphas):
-            raise ValueError("all RDP orders must be > 1")
-        self._total = np.zeros(len(self.alphas))
-        self.history: list[dict] = []
-
-    # -- registration ---------------------------------------------------------
-
-    def compose_curve(self, curve: Callable[[float], float], count: int = 1, label: str = "") -> "RDPAccountant":
-        """Add ``count`` repetitions of a mechanism described by ``curve(alpha)``."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        values = np.array([curve(a) for a in self.alphas])
-        self._total = self._total + count * values
-        self.history.append({"label": label or "mechanism", "count": count})
-        return self
-
-    def compose_gaussian(self, sigma: float, sensitivity: float = 1.0, count: int = 1) -> "RDPAccountant":
-        return self.compose_curve(
-            lambda a: rdp_gaussian(sigma, a, sensitivity), count, label=f"gaussian(sigma={sigma})"
-        )
-
-    def compose_pure_dp(self, epsilon: float, count: int = 1) -> "RDPAccountant":
-        return self.compose_curve(
-            lambda a: rdp_from_pure_dp(epsilon, a), count, label=f"pure_dp(eps={epsilon})"
-        )
-
-    def compose_subsampled_gaussian(
-        self, sample_rate: float, sigma: float, steps: int = 1
-    ) -> "RDPAccountant":
-        return self.compose_curve(
-            lambda a: rdp_subsampled_gaussian(sample_rate, sigma, int(a)),
-            steps,
-            label=f"subsampled_gaussian(q={sample_rate}, sigma={sigma})",
-        )
-
-    # -- reporting -------------------------------------------------------------
-
-    def get_rdp(self) -> np.ndarray:
-        """Return the composed RDP curve over the accountant's orders."""
-        return self._total.copy()
-
-    def get_epsilon(self, delta: float):
-        """Return ``(epsilon, best_alpha)`` for the composed mechanisms."""
-        return rdp_to_dp(self._total, self.alphas, delta)

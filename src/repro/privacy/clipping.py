@@ -11,24 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "clip_by_l2_norm",
-    "clip_rows",
-    "per_example_clip",
-    "per_example_scale_factors",
-    "fused_clip_sum",
-]
-
-
-def clip_by_l2_norm(vector: np.ndarray, max_norm: float) -> np.ndarray:
-    """Scale ``vector`` so its L2 norm is at most ``max_norm`` (psi_C in the paper)."""
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
-    vector = np.asarray(vector, dtype=np.float64)
-    norm = np.linalg.norm(vector)
-    if norm <= max_norm or norm == 0.0:
-        return vector
-    return vector * (max_norm / norm)
+__all__ = ["clip_rows", "per_example_clip", "per_example_scale_factors"]
 
 
 def clip_rows(X: np.ndarray, max_norm: float = 1.0) -> np.ndarray:
@@ -85,19 +68,3 @@ def per_example_scale_factors(squared_norms: np.ndarray, max_norm: float) -> np.
         raise ValueError("max_norm must be positive")
     norms = np.sqrt(np.asarray(squared_norms, dtype=np.float64))
     return np.minimum(1.0, max_norm / np.maximum(norms, 1e-12))
-
-
-def fused_clip_sum(grad_samples: list, max_norm: float) -> list:
-    """Clip each example's concatenated gradient and sum over the batch, fused.
-
-    Equivalent to ``[c.sum(axis=0) for c in per_example_clip(gs, max_norm)]``
-    but never materialises the clipped per-example tensors: the scaled sum is
-    a single contraction ``tensordot(scale, g, axes=(0, 0))`` per parameter.
-    Returns one summed array of ``param_shape`` per input.
-    """
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
-    if not grad_samples:
-        return []
-    scale = per_example_scale_factors(_concatenated_sq_norms(grad_samples), max_norm)
-    return [np.tensordot(scale, g, axes=(0, 0)) for g in grad_samples]

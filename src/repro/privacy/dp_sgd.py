@@ -8,7 +8,8 @@ batch size, then delegates the descent step to a wrapped base optimizer
 (plain SGD or Adam).
 
 A :class:`DPSGD` instance also tracks the number of noisy steps it has taken so
-callers can query the privacy spent through the RDP accountant.
+callers can query the privacy spent through the Theorem-4 accountant with
+DP-PCA and DP-EM switched off.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from repro.nn.optim import Optimizer, SGD
-from repro.privacy.accounting.calibration import dp_sgd_epsilon
+from repro.privacy.accounting.p3gm_accountant import P3GMAccountant
 from repro.privacy.clipping import per_example_scale_factors
 from repro.utils.rng import as_generator, dump_generator_state, restore_generator_state
 from repro.utils.validation import check_positive, check_probability
@@ -199,4 +200,11 @@ class DPSGD:
         steps = self.steps_taken if steps is None else steps
         if steps == 0:
             return 0.0
-        return dp_sgd_epsilon(self.noise_multiplier, self.sample_rate, steps, delta)
+        accountant = P3GMAccountant(
+            epsilon_pca=0.0,
+            em_iterations=0,
+            sigma_sgd=self.noise_multiplier,
+            sample_rate=self.sample_rate,
+            sgd_steps=steps,
+        )
+        return accountant.epsilon(delta)

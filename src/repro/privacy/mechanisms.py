@@ -1,11 +1,11 @@
 """Basic differentially private mechanisms.
 
-Implements the three noise mechanisms the paper relies on:
+Implements the noise mechanisms the paper relies on outside DP-SGD and DP-EM
+(which draw their Gaussian noise inline):
 
-- the **Gaussian mechanism** (used inside DP-SGD and DP-EM),
-- the **Laplace mechanism** (used by the PrivBayes baseline),
-- the **Wishart mechanism** for covariance matrices (used by DP-PCA,
-  Jiang et al., AAAI 2016).
+- the **Laplace mechanism** (used by the PrivBayes and DP-GM baselines),
+- the **Wishart noise** of the covariance mechanism used by DP-PCA
+  (Jiang et al., AAAI 2016).
 
 Each function takes an explicit sensitivity and privacy parameter so the
 calling code documents its own sensitivity analysis.
@@ -13,43 +13,12 @@ calling code documents its own sensitivity analysis.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_positive, check_probability
+from repro.utils.validation import check_positive
 
-__all__ = [
-    "gaussian_sigma",
-    "gaussian_mechanism",
-    "laplace_mechanism",
-    "wishart_noise",
-    "wishart_mechanism",
-]
-
-
-def gaussian_sigma(epsilon: float, delta: float, sensitivity: float = 1.0) -> float:
-    """Return the classic Gaussian-mechanism noise scale for one release.
-
-    Uses the standard calibration ``sigma = sensitivity * sqrt(2 ln(1.25/delta)) / epsilon``
-    (Dwork & Roth), valid for ``epsilon <= 1``.
-    """
-    check_positive(epsilon, "epsilon")
-    check_probability(delta, "delta")
-    if delta == 0:
-        raise ValueError("the Gaussian mechanism requires delta > 0")
-    check_positive(sensitivity, "sensitivity")
-    return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
-
-
-def gaussian_mechanism(value, sigma: float, sensitivity: float = 1.0, rng=None) -> np.ndarray:
-    """Add Gaussian noise of scale ``sigma * sensitivity`` to ``value``."""
-    check_positive(sigma, "sigma")
-    check_positive(sensitivity, "sensitivity")
-    rng = as_generator(rng)
-    value = np.asarray(value, dtype=np.float64)
-    return value + rng.normal(0.0, sigma * sensitivity, size=value.shape)
+__all__ = ["laplace_mechanism", "wishart_noise"]
 
 
 def laplace_mechanism(value, epsilon: float, sensitivity: float = 1.0, rng=None) -> np.ndarray:
@@ -89,14 +58,3 @@ def wishart_noise(dim: int, epsilon: float, n_samples: int, rng=None) -> np.ndar
     # Wishart_d(df, c*I) sample: c * (G @ G.T) with G a (d, df) standard normal matrix.
     gaussian = rng.normal(size=(dim, degrees_of_freedom))
     return scale_eigenvalue * (gaussian @ gaussian.T)
-
-
-def wishart_mechanism(covariance, epsilon: float, n_samples: int, rng=None) -> np.ndarray:
-    """Return a differentially private covariance matrix via the Wishart mechanism."""
-    covariance = np.asarray(covariance, dtype=np.float64)
-    if covariance.ndim != 2 or covariance.shape[0] != covariance.shape[1]:
-        raise ValueError("covariance must be a square matrix")
-    noise = wishart_noise(covariance.shape[0], epsilon, n_samples, rng=rng)
-    noisy = covariance + noise
-    # Symmetrise against floating point asymmetry; the Wishart draw is symmetric.
-    return 0.5 * (noisy + noisy.T)

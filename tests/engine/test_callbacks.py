@@ -1,8 +1,11 @@
 """Tests for the engine callbacks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.datasets import load_dataset
 from repro.engine import (
     EarlyStopping,
     EpochHook,
@@ -11,7 +14,8 @@ from repro.engine import (
     ShuffleSampler,
     Trainer,
 )
-from repro.models import DPVAE, VAE
+from repro.models import DPVAE, P3GM, VAE
+from repro.privacy.accounting import P3GMAccountant
 from repro.utils.logging import TrainingHistory
 
 
@@ -76,12 +80,30 @@ class TestStatelessCallbackState:
 class TestPrivacyBudgetTracker:
     def test_adds_epsilon_to_logs_before_history(self):
         class FakeOptimizer:
-            def privacy_spent(self, delta):
-                return 0.25
+            steps_taken = 40
 
+        class TrainerAfter40Steps(FakeTrainer):
+            optimizer = FakeOptimizer()
+
+        accountant = P3GMAccountant(sgd_steps=100)
         logs = {"epoch": 0}
-        PrivacyBudgetTracker(FakeOptimizer(), 1e-5).on_epoch_end(FakeTrainer(), FakeModel(), 0, logs)
-        assert logs["epsilon"] == 0.25
+        PrivacyBudgetTracker(accountant, 1e-5).on_epoch_end(TrainerAfter40Steps(), FakeModel(), 0, logs)
+        # The composed spend so far: DP-PCA, DP-EM and the 40 steps taken.
+        assert logs["epsilon"] == replace(accountant, sgd_steps=40).epsilon(1e-5)
+        assert logs["epsilon"] < accountant.epsilon(1e-5)
+
+    @pytest.mark.parametrize("model_class", [P3GM, DPVAE])
+    def test_last_epoch_equals_privacy_spent(self, model_class):
+        data = load_dataset("credit", n_samples=2000, random_state=0)
+        model = model_class(
+            hidden=(16,), epochs=3, batch_size=200, noise_multiplier=5.0, random_state=0
+        ).fit(data.X_train, data.y_train)
+        epsilons = model.history.series("epsilon")
+        assert len(epsilons) == 3
+        assert epsilons == sorted(epsilons)
+        # An uninterrupted run ends exactly at the released guarantee; for
+        # P3GM that includes the DP-PCA and DP-EM phases, not DP-SGD alone.
+        assert epsilons[-1] == model.privacy_spent()[0]
 
     def test_dpvae_history_records_cumulative_epsilon(self, toy_unlabeled_data):
         model = DPVAE(

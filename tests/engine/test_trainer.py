@@ -1,5 +1,7 @@
 """Tests for the Trainer, including the seed-loop regression guarantee."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from repro.engine import ShuffleSampler, Trainer
 from repro.models import DPVAE, P3GM, PGM, VAE
 from repro.nn import Adam
 from repro.privacy import DPSGD
-from repro.privacy.accounting.calibration import dp_sgd_epsilon
+from repro.privacy.accounting import P3GMAccountant
 
 
 class EmptySampler(PoissonSampler):
@@ -221,10 +223,11 @@ class TestTrainerMechanics:
     def test_budget_tracker_counts_noise_only_steps(self):
         model = tiny_built_vae()
         trainer = private_trainer(model, EmptySampler(sample_rate=0.25, steps=1), sample_rate=0.25)
-        trainer.callbacks.insert(0, PrivacyBudgetTracker(trainer.optimizer, delta=1e-5))
+        accountant = P3GMAccountant(epsilon_pca=0.0, em_iterations=0, sigma_sgd=1.5, sample_rate=0.25)
+        trainer.callbacks.insert(0, PrivacyBudgetTracker(accountant, delta=1e-5))
         trainer.fit(20, 2, lambda idx: None)
         epsilons = [record["epsilon"] for record in model.history.records]
-        assert epsilons == [dp_sgd_epsilon(1.5, 0.25, steps, 1e-5) for steps in (1, 2)]
+        assert epsilons == [replace(accountant, sgd_steps=steps).epsilon(1e-5) for steps in (1, 2)]
         assert 0 < epsilons[0] < epsilons[1]
 
     def test_no_model_train_loops_remain(self):

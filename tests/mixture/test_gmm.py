@@ -135,9 +135,6 @@ class TestDPGaussianMixture:
             eigvals = np.linalg.eigvalsh(cov)
             assert np.all(eigvals > 0)
 
-    def test_privacy_iterations(self):
-        assert DPGaussianMixture(2, sigma=1.0, n_iter=7).privacy_iterations() == 7
-
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
             DPGaussianMixture(2, sigma=0.0)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.datasets import load_dataset
 from repro.models import P3GM, PGM
+from repro.privacy.accounting import ORDERS, p3gm_accountant
 
 
 def small_pgm(**overrides):
@@ -167,3 +169,39 @@ class TestP3GM:
 
     def test_unfitted_privacy_spent_is_zero(self):
         assert small_p3gm().privacy_spent() == (0.0, 0.0)
+
+
+def fit_credit_p3gm():
+    """Credit, 2,000 rows: the requested noise multiplier meets epsilon = 1
+    on its own, so only sigma_em is calibrated."""
+    data = load_dataset("credit", n_samples=2000, random_state=0)
+    model = P3GM(hidden=(16,), epochs=3, batch_size=200, noise_multiplier=5.0, random_state=0)
+    return model.fit(data.X_train, data.y_train)
+
+
+class TestP3GMAccounting:
+    def test_fit_builds_the_dp_sgd_curve_at_most_twice(self, monkeypatch):
+        calls = []
+        original = p3gm_accountant.rdp_subsampled_gaussian
+
+        def counting(sample_rate, sigma, alpha):
+            calls.append(alpha)
+            return original(sample_rate, sigma, alpha)
+
+        monkeypatch.setattr(p3gm_accountant, "rdp_subsampled_gaussian", counting)
+        fit_credit_p3gm()
+        # The sigma_em bisection, the per-epoch tracker and privacy_spent()
+        # all reuse the one per-step DP-SGD curve.
+        assert len(calls) <= 2 * len(ORDERS)
+
+    def test_state_dict_with_legacy_accountant_keys_loads(self):
+        model = fit_credit_p3gm()
+        state = model.state_dict()
+        # Older state dicts also stored the accountant's order cap and DP-SGD
+        # accounting mode, each of which only ever had one value in use.
+        state["accountant.max_order"] = np.asarray(512)
+        state["accountant.sgd_accounting"] = np.asarray("rdp")
+        restored = P3GM(**model.get_config()).load_state_dict(state)
+        assert restored.privacy_spent() == model.privacy_spent()
+        # The value those older versions reported for this model.
+        assert restored.privacy_spent() == (float.fromhex("0x1.fffffc0c0874ap-1"), 1e-5)

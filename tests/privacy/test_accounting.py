@@ -1,31 +1,33 @@
-"""Tests for the RDP / moments / zCDP accountants and the P3GM composition."""
+"""Tests for the Theorem-4 accountant and its RDP / moments / zCDP parts."""
 
+import dataclasses
 import math
+from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.privacy.accounting import (
-    DEFAULT_ALPHAS,
+    ORDERS,
     P3GMAccountant,
-    PipelineBudget,
-    RDPAccountant,
-    baseline_p3gm_epsilon,
-    calibrate_dp_sgd_sigma,
     dp_em_moment_bound,
-    dp_sgd_epsilon,
     dp_sgd_moment_bound,
-    moment_to_rdp,
     moments_epsilon,
     rdp_from_pure_dp,
     rdp_gaussian,
     rdp_subsampled_gaussian,
     rdp_to_dp,
-    sequential_composition,
     zcdp_compose,
     zcdp_gaussian,
     zcdp_to_dp,
 )
+from repro.privacy.accounting import p3gm_accountant
+
+
+def dp_sgd_accountant(sigma, sample_rate, steps):
+    """DP-SGD on its own: the Theorem-4 accountant with DP-PCA and DP-EM off."""
+    return P3GMAccountant(
+        epsilon_pca=0.0, em_iterations=0, sigma_sgd=sigma, sample_rate=sample_rate, sgd_steps=steps
+    )
 
 
 class TestRDPPrimitives:
@@ -71,34 +73,6 @@ class TestRDPPrimitives:
         assert alpha in alphas
 
 
-class TestRDPAccountant:
-    def test_composition_is_additive(self):
-        acc = RDPAccountant(alphas=(2, 4, 8))
-        acc.compose_gaussian(2.0, count=3)
-        np.testing.assert_allclose(
-            acc.get_rdp(), [3 * rdp_gaussian(2.0, a) for a in (2, 4, 8)]
-        )
-
-    def test_epsilon_grows_with_steps(self):
-        eps = []
-        for steps in (10, 100, 1000):
-            acc = RDPAccountant()
-            acc.compose_subsampled_gaussian(0.01, 1.5, steps)
-            eps.append(acc.get_epsilon(1e-5)[0])
-        assert eps[0] < eps[1] < eps[2]
-
-    def test_heterogeneous_composition(self):
-        acc = RDPAccountant(alphas=(2, 8, 32))
-        acc.compose_pure_dp(0.1)
-        acc.compose_gaussian(5.0, count=2)
-        eps, _ = acc.get_epsilon(1e-5)
-        assert eps > 0
-
-    def test_rejects_bad_alphas(self):
-        with pytest.raises(ValueError):
-            RDPAccountant(alphas=(1, 2))
-
-
 class TestMomentsAccountant:
     def test_dp_em_bound_formula(self):
         assert dp_em_moment_bound(3, 10.0, 4) == pytest.approx(7 * 20 / 200.0)
@@ -109,17 +83,10 @@ class TestMomentsAccountant:
         assert values == sorted(values)
 
     def test_dp_sgd_bound_overflows_to_inf_not_error(self):
-        import math
-
         assert dp_sgd_moment_bound(0.01, 1.0, 200) == math.inf
 
     def test_dp_sgd_bound_decreases_with_sigma(self):
         assert dp_sgd_moment_bound(0.01, 4.0, 4) < dp_sgd_moment_bound(0.01, 1.0, 4)
-
-    def test_moment_to_rdp(self):
-        order, eps = moment_to_rdp(0.5, 4)
-        assert order == 5
-        assert eps == pytest.approx(0.125)
 
     def test_moments_epsilon_conversion(self):
         lams = [1, 2, 4]
@@ -147,32 +114,22 @@ class TestZCDP:
             zcdp_to_dp(-0.1, 1e-5)
 
 
-class TestSequentialComposition:
-    def test_adds_up(self):
-        eps, delta = sequential_composition([0.5, 0.3], [1e-6, 1e-6])
-        assert eps == pytest.approx(0.8)
-        assert delta == pytest.approx(2e-6)
-
-    def test_pure_dp_default(self):
-        eps, delta = sequential_composition([0.5, 0.5])
-        assert delta == 0.0
-
-
 class TestDPSGDCalibration:
     def test_epsilon_monotone_in_sigma(self):
-        e1 = dp_sgd_epsilon(1.0, 0.01, 500, 1e-5)
-        e2 = dp_sgd_epsilon(2.0, 0.01, 500, 1e-5)
+        e1 = dp_sgd_accountant(1.0, 0.01, 500).epsilon(1e-5)
+        e2 = dp_sgd_accountant(2.0, 0.01, 500).epsilon(1e-5)
         assert e2 < e1
 
     def test_calibration_meets_target(self):
-        sigma = calibrate_dp_sgd_sigma(1.0, 0.01, 500, 1e-5)
-        assert dp_sgd_epsilon(sigma, 0.01, 500, 1e-5) <= 1.0 + 1e-6
+        accountant = dp_sgd_accountant(1.0, 0.01, 500)
+        sigma = accountant.calibrate_sigma_sgd(1.0, 1e-5)
+        assert replace(accountant, sigma_sgd=sigma).epsilon(1e-5) <= 1.0 + 1e-6
         # And it is not wastefully large: slightly less noise must exceed the target.
-        assert dp_sgd_epsilon(sigma * 0.95, 0.01, 500, 1e-5) > 1.0
+        assert replace(accountant, sigma_sgd=sigma * 0.95).epsilon(1e-5) > 1.0
 
     def test_calibration_unreachable_raises(self):
         with pytest.raises(ValueError):
-            calibrate_dp_sgd_sigma(1e-9, 0.5, 10000, 1e-5, high=5.0)
+            dp_sgd_accountant(1.0, 0.5, 10000).calibrate_sigma_sgd(1e-9, 1e-5, high=5.0)
 
 
 class TestP3GMAccountant:
@@ -200,16 +157,6 @@ class TestP3GMAccountant:
             acc = self.make_accountant(sigma_sgd=sigma)
             assert acc.epsilon(1e-5) < acc.epsilon_baseline(1e-5)
 
-    def test_paper_eq4_accounting_is_looser_but_finite(self):
-        tight = self.make_accountant()
-        loose = self.make_accountant(sgd_accounting="paper_eq4")
-        assert tight.epsilon(1e-5) <= loose.epsilon(1e-5)
-        assert loose.epsilon(1e-5) < 100
-
-    def test_invalid_sgd_accounting_rejected(self):
-        with pytest.raises(ValueError):
-            self.make_accountant(sgd_accounting="bogus")
-
     def test_epsilon_decreases_with_more_noise(self):
         eps = [self.make_accountant(sigma_sgd=s).epsilon(1e-5) for s in (1.0, 2.0, 4.0, 8.0)]
         assert eps == sorted(eps, reverse=True)
@@ -228,33 +175,48 @@ class TestP3GMAccountant:
     def test_calibrate_sigma_sgd_hits_target(self):
         acc = self.make_accountant()
         sigma = acc.calibrate_sigma_sgd(1.0, 1e-5)
-        acc.sigma_sgd = sigma
-        assert acc.epsilon(1e-5) <= 1.0 + 1e-3
+        assert replace(acc, sigma_sgd=sigma).epsilon(1e-5) <= 1.0 + 1e-3
 
     def test_calibrate_sigma_em_hits_target(self):
         acc = self.make_accountant(sigma_sgd=2.0)
         sigma_em = acc.calibrate_sigma_em(1.5, 1e-5)
-        acc.sigma_em = sigma_em
-        assert acc.epsilon(1e-5) <= 1.5 + 1e-3
+        assert replace(acc, sigma_em=sigma_em).epsilon(1e-5) <= 1.5 + 1e-3
 
     def test_calibrate_restores_state_on_failure(self):
         acc = self.make_accountant(epsilon_pca=5.0)  # PCA alone blows the budget
-        original = acc.sigma_sgd
+        before = replace(acc)
         with pytest.raises(ValueError):
             acc.calibrate_sigma_sgd(0.5, 1e-5)
-        assert acc.sigma_sgd == original
+        acc.calibrate_sigma_em(20.0, 1e-5)
+        assert acc == before
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            acc.sigma_sgd = 2.0
 
     def test_epsilon_with_order_reports_valid_alpha(self):
         acc = self.make_accountant()
         eps, alpha = acc.epsilon_with_order(1e-5)
-        assert 2 <= alpha <= acc.max_order
-        assert eps == pytest.approx(acc.epsilon(1e-5))
+        assert alpha in ORDERS
+        assert eps == acc.epsilon(1e-5)
 
     def test_baseline_budget_validation(self):
-        with pytest.raises(ValueError):
-            PipelineBudget(-1.0, 1.0, 10, 3, 1.0, 0.1, 10)
+        for overrides in ({"epsilon_pca": -1.0}, {"em_iterations": -1}, {"sgd_steps": -1}):
+            with pytest.raises(ValueError):
+                self.make_accountant(**overrides)
 
     def test_baseline_requires_valid_delta(self):
-        budget = PipelineBudget(0.1, 10.0, 10, 3, 1.5, 0.01, 100)
         with pytest.raises(ValueError):
-            baseline_p3gm_epsilon(budget, 0.0)
+            self.make_accountant().epsilon_baseline(0.0)
+
+    def test_sigma_em_calibration_builds_the_dp_sgd_curve_once(self, monkeypatch):
+        calls = []
+
+        def counting(sample_rate, sigma, alpha):
+            calls.append(alpha)
+            return rdp_subsampled_gaussian(sample_rate, sigma, alpha)
+
+        monkeypatch.setattr(p3gm_accountant, "rdp_subsampled_gaussian", counting)
+        acc = self.make_accountant(sigma_sgd=2.0)
+        acc.calibrate_sigma_em(1.5, 1e-5)
+        replace(acc, sgd_steps=1).epsilon(1e-5)
+        # Every bisection step and every step count reuse one DP-SGD curve.
+        assert calls == list(ORDERS)

@@ -229,14 +229,17 @@ class TestDPSGDNoiseStep:
             assert a.data.tobytes() == b.data.tobytes()
 
     def test_noise_steps_are_counted_and_accounted(self):
-        from repro.privacy.accounting.calibration import dp_sgd_epsilon
+        from repro.privacy.accounting import P3GMAccountant
 
         model, _, _ = make_model_and_data()
         opt = self.make_optimizer(list(model.parameters()))
         for _ in range(3):
             opt.noise_step()
         assert opt.steps_taken == 3
-        assert opt.privacy_spent(1e-5) == dp_sgd_epsilon(1.3, 0.25, 3, 1e-5) > 0
+        dp_sgd_only = P3GMAccountant(
+            epsilon_pca=0.0, em_iterations=0, sigma_sgd=1.3, sample_rate=0.25, sgd_steps=3
+        )
+        assert opt.privacy_spent(1e-5) == dp_sgd_only.epsilon(1e-5) > 0
 
     def test_noise_step_clears_diagnostics_and_stale_grad_samples(self):
         model, X, y = make_model_and_data()

@@ -3,39 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.privacy import (
-    clip_by_l2_norm,
-    clip_rows,
-    gaussian_mechanism,
-    gaussian_sigma,
-    laplace_mechanism,
-    per_example_clip,
-    wishart_mechanism,
-    wishart_noise,
-)
-
-
-class TestGaussianMechanism:
-    def test_sigma_formula(self):
-        sigma = gaussian_sigma(1.0, 1e-5, sensitivity=1.0)
-        assert sigma == pytest.approx(np.sqrt(2 * np.log(1.25e5)), rel=1e-12)
-
-    def test_sigma_scales_with_sensitivity(self):
-        assert gaussian_sigma(1.0, 1e-5, 2.0) == pytest.approx(2 * gaussian_sigma(1.0, 1e-5, 1.0))
-
-    def test_sigma_rejects_zero_delta(self):
-        with pytest.raises(ValueError):
-            gaussian_sigma(1.0, 0.0)
-
-    def test_noise_statistics(self, rng):
-        values = np.zeros(20000)
-        noisy = gaussian_mechanism(values, sigma=2.0, rng=rng)
-        assert abs(noisy.mean()) < 0.1
-        assert noisy.std() == pytest.approx(2.0, rel=0.05)
-
-    def test_preserves_shape(self, rng):
-        out = gaussian_mechanism(np.ones((3, 4)), sigma=1.0, rng=rng)
-        assert out.shape == (3, 4)
+from repro.privacy import clip_rows, laplace_mechanism, per_example_clip, wishart_noise
 
 
 class TestLaplaceMechanism:
@@ -66,28 +34,8 @@ class TestWishartMechanism:
         tight = wishart_noise(5, 0.1, 1000, rng=np.random.default_rng(0))
         assert np.linalg.norm(loose) < np.linalg.norm(tight)
 
-    def test_mechanism_output_symmetric(self, rng):
-        cov = np.eye(4)
-        noisy = wishart_mechanism(cov, epsilon=1.0, n_samples=500, rng=rng)
-        np.testing.assert_allclose(noisy, noisy.T, atol=1e-12)
-
-    def test_mechanism_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            wishart_mechanism(np.ones((3, 4)), 1.0, 100)
-
 
 class TestClipping:
-    def test_clip_vector_below_bound_unchanged(self):
-        v = np.array([0.3, 0.4])
-        np.testing.assert_allclose(clip_by_l2_norm(v, 1.0), v)
-
-    def test_clip_vector_above_bound(self):
-        v = np.array([3.0, 4.0])
-        clipped = clip_by_l2_norm(v, 1.0)
-        assert np.linalg.norm(clipped) == pytest.approx(1.0)
-        # Direction preserved.
-        np.testing.assert_allclose(clipped / np.linalg.norm(clipped), v / 5.0)
-
     def test_clip_rows_bounds_all_norms(self, rng):
         X = rng.normal(size=(50, 8)) * 5
         clipped = clip_rows(X, max_norm=1.0)
@@ -114,8 +62,6 @@ class TestClipping:
             per_example_clip([np.zeros((3, 2)), np.zeros((4, 2))], 1.0)
 
     def test_invalid_norm_raises(self):
-        with pytest.raises(ValueError):
-            clip_by_l2_norm(np.ones(2), 0.0)
         with pytest.raises(ValueError):
             clip_rows(np.ones((2, 2)), -1.0)
         with pytest.raises(ValueError):
