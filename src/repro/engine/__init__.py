@@ -17,11 +17,10 @@ aggregation, optimizer stepping, and callback dispatch.  The pieces:
   :class:`MetricsCallback`, which publishes throughput, step/epoch timing,
   gradient-clipping diagnostics, and the privacy-budget gauge onto the
   :mod:`repro.obs` metrics registry.
-- :mod:`repro.engine.trainer` — the :class:`Trainer` itself, with a private
-  mode that runs the backward pass inside
-  :func:`repro.nn.grad_sample_mode` and drives
-  :class:`repro.privacy.DPSGD` (an empty Poisson draw takes a noise-only
-  step).
+- :mod:`repro.engine.trainer` — the :class:`Trainer` itself.  Its private
+  mode follows from a :class:`repro.privacy.DPSGD` optimizer: the backward
+  pass runs inside :func:`repro.nn.grad_sample_mode`, and an empty Poisson
+  draw takes a noise-only step.
 - :mod:`repro.engine.checkpoint` — mid-training checkpoints (model +
   optimizer + callback + RNG state through the artifact archive layout) with
   ``Trainer.fit(..., resume_from=...)`` restoring them bit-identically, and

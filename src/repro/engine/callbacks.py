@@ -79,6 +79,11 @@ class HistoryLogger(Callback):
     def _resolve(self, model):
         return self.history if self.history is not None else model.history
 
+    def on_train_begin(self, trainer, model) -> None:
+        # A refit starts a new run, not more epochs of the old one.  (Resume
+        # restores the checkpointed records after this.)
+        self._resolve(model).records.clear()
+
     def on_epoch_end(self, trainer, model, epoch: int, logs: dict) -> None:
         self._resolve(model).log(**logs)
 

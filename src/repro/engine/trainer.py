@@ -7,12 +7,13 @@ aggregating per-batch losses into epoch means, stepping the optimizer, and
 dispatching callbacks.
 
 The model supplies only a ``loss_fn(index) -> (reconstruction, kl)`` closure
-returning *per-example* loss tensors for the indexed batch.  In non-private
-mode the trainer minimises their mean; in private mode it runs the backward
-pass on their *sum* inside :func:`repro.nn.grad_sample_mode` (DP-SGD needs
-per-example gradients of a sum-decomposable loss, and itself divides by the
-expected batch size).  An empty Poisson draw is skipped in non-private mode;
-in private mode it still takes a noise-only step
+returning *per-example* loss tensors for the indexed batch.  Training is
+private exactly when the optimizer is a :class:`repro.privacy.DPSGD`.  In
+non-private mode the trainer minimises their mean; in private mode it runs
+the backward pass on their *sum* inside :func:`repro.nn.grad_sample_mode`
+(DP-SGD needs per-example gradients of a sum-decomposable loss, and itself
+divides by the expected batch size).  An empty Poisson draw is skipped in
+non-private mode; in private mode it still takes a noise-only step
 (:meth:`repro.privacy.DPSGD.noise_step`), because the accountant analyses a
 noisy release at every step.
 """
@@ -26,6 +27,7 @@ import numpy as np
 from repro.engine.checkpoint import Checkpoint, load_checkpoint, restore_trainer_state
 from repro.engine.samplers import BatchSampler
 from repro.nn import grad_sample_mode
+from repro.privacy.dp_sgd import DPSGD
 from repro.utils.rng import as_generator
 
 __all__ = ["Trainer"]
@@ -42,17 +44,15 @@ class Trainer:
         is used without an explicit history).
     optimizer:
         A :class:`repro.nn.Optimizer` (non-private mode) or
-        :class:`repro.privacy.DPSGD` (private mode).
+        :class:`repro.privacy.DPSGD` (private mode: each step's backward pass
+        runs inside :func:`repro.nn.grad_sample_mode` on the summed
+        per-example loss and ``optimizer.step()`` clips, noises, and zeroes
+        the per-example gradients; an empty batch calls
+        ``optimizer.noise_step()`` instead).
     sampler:
         The batch-construction strategy.
     callbacks:
         Ordered iterable of :class:`~repro.engine.callbacks.Callback`.
-    private:
-        When true, each step's backward pass runs inside
-        :func:`repro.nn.grad_sample_mode` on the summed per-example loss and
-        ``optimizer.step()`` is expected to clip, noise, and zero the
-        per-example gradients; an empty batch calls ``optimizer.noise_step()``
-        instead (the :class:`~repro.privacy.DPSGD` contract).
     rng:
         Random generator driving the sampler (models pass their own so batch
         order stays on the model's seed stream).
@@ -64,14 +64,13 @@ class Trainer:
         optimizer,
         sampler: BatchSampler,
         callbacks=(),
-        private: bool = False,
         rng=None,
     ):
         self.model = model
         self.optimizer = optimizer
         self.sampler = sampler
         self.callbacks = list(callbacks)
-        self.private = bool(private)
+        self.private = isinstance(optimizer, DPSGD)
         self.rng = as_generator(rng)
         #: Set by callbacks (e.g. EarlyStopping) to end training after the
         #: current epoch.

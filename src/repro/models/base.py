@@ -15,6 +15,7 @@ Every synthesizer in :mod:`repro.models` follows the same protocol:
 
 from __future__ import annotations
 
+import inspect
 from typing import Optional
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "GenerativeModel",
     "LabelEncodingMixin",
     "decode_rows",
+    "label_quotas",
     "pack_state",
     "unpack_state",
 ]
@@ -55,6 +57,29 @@ def decode_rows(decoder, latent: np.ndarray, decoder_type: str) -> np.ndarray:
     if decoder_type == "bernoulli":
         np.clip(decoded, 0.0, 1.0, out=decoded)
     return decoded
+
+
+def label_quotas(ratio, n_samples: int, class_counts=None) -> np.ndarray:
+    """Per-class sample counts for a labelled draw of ``n_samples`` rows.
+
+    ``class_counts``, when given, must be one non-negative count per class
+    (in the order of ``ratio``) summing to ``n_samples``.  Otherwise the
+    training ``ratio`` is rounded and the rounding remainder goes to the
+    largest class.
+    """
+    ratio = np.asarray(ratio)
+    if class_counts is not None:
+        quotas = np.asarray(class_counts, dtype=np.int64)
+        if quotas.shape != ratio.shape or (quotas < 0).any():
+            raise ValueError(f"class_counts must be {len(ratio)} non-negative integers")
+        if quotas.sum() != n_samples:
+            raise ValueError(
+                f"class_counts sum to {quotas.sum()} but n_samples is {n_samples}"
+            )
+        return quotas
+    quotas = np.round(ratio * n_samples).astype(np.int64)
+    quotas[np.argmax(quotas)] += n_samples - quotas.sum()
+    return quotas
 
 
 def pack_state(prefix: str, state: dict) -> dict:
@@ -105,8 +130,18 @@ class GenerativeModel:
     # -- persistence protocol -----------------------------------------------------
 
     def get_config(self) -> dict:
-        """JSON-serialisable constructor hyper-parameters of this model."""
-        raise NotImplementedError
+        """JSON-serialisable constructor hyper-parameters of this model.
+
+        The contract every synthesizer keeps: each constructor argument
+        except ``random_state`` is stored on the model under its own name,
+        so the config reads them back by name (tuples as lists).
+        """
+        config = {}
+        for name in inspect.signature(type(self)).parameters:
+            if name != "random_state":
+                value = getattr(self, name)
+                config[name] = list(value) if isinstance(value, tuple) else value
+        return config
 
     def state_dict(self) -> dict:
         """Fitted state as a flat mapping of numpy arrays."""
@@ -258,24 +293,6 @@ class LabelEncodingMixin:
 
     # -- sampling-side helpers ------------------------------------------------------
 
-    def _resolve_quotas(self, n_samples: int, class_counts) -> np.ndarray:
-        """Per-class quotas: explicit counts, or the rounded training ratio."""
-        if class_counts is not None:
-            quotas = np.asarray(class_counts, dtype=np.int64)
-            if quotas.shape != (self._n_classes,) or (quotas < 0).any():
-                raise ValueError(
-                    f"class_counts must be {self._n_classes} non-negative integers"
-                )
-            if quotas.sum() != n_samples:
-                raise ValueError(
-                    f"class_counts sum to {quotas.sum()} but n_samples is {n_samples}"
-                )
-            return quotas
-        quotas = np.round(self._label_ratio * n_samples).astype(int)
-        # Rounding can drop/add a few samples; fix up on the largest class.
-        quotas[np.argmax(quotas)] += n_samples - quotas.sum()
-        return quotas
-
     def sample_labeled(
         self,
         n_samples: int,
@@ -310,7 +327,7 @@ class LabelEncodingMixin:
             rows = self.sample(n_samples, rng=generation_rng)
             return self._split_labels(rows)
 
-        quotas = self._resolve_quotas(n_samples, class_counts)
+        quotas = label_quotas(self._label_ratio, n_samples, class_counts)
 
         oversample = max(2 * n_samples, 4 * self._n_classes)
         rows = self.sample(oversample, rng=generation_rng)

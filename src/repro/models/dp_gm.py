@@ -230,24 +230,6 @@ class DPGM(GenerativeModel, LabelEncodingMixin):
     # Persistence
     # ------------------------------------------------------------------
 
-    def get_config(self) -> dict:
-        return {
-            "n_clusters": self.n_clusters,
-            "latent_dim": self.latent_dim,
-            "hidden": list(self.hidden),
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "kmeans_iterations": self.kmeans_iterations,
-            "kmeans_budget_fraction": self.kmeans_budget_fraction,
-            "min_cluster_size": self.min_cluster_size,
-            "decoder_type": self.decoder_type,
-            "max_grad_norm": self.max_grad_norm,
-            "label_repeat": self.label_repeat,
-        }
-
     def state_dict(self) -> dict:
         self._check_fitted()
         state = {

@@ -25,25 +25,16 @@ from typing import Optional
 import numpy as np
 
 from repro.decomposition import DPPCA
-from repro.engine import (
-    EpochHook,
-    HistoryLogger,
-    MetricsCallback,
-    PrivacyBudgetTracker,
-    Trainer,
-    make_sampler,
-)
 from repro.mixture import DPGaussianMixture
+from repro.models.decoder import DPSGDMixin
 from repro.models.pgm import PGM
-from repro.nn import Adam
 from repro.privacy.accounting import P3GMAccountant
-from repro.privacy.dp_sgd import DPSGD
-from repro.utils.validation import check_array, check_positive, check_probability
+from repro.utils.validation import check_positive
 
 __all__ = ["P3GM"]
 
 
-class P3GM(PGM):
+class P3GM(DPSGDMixin, PGM):
     """Privacy-preserving phased generative model.
 
     Parameters (in addition to :class:`repro.models.PGM`)
@@ -103,29 +94,23 @@ class P3GM(PGM):
             variance_mode=variance_mode,
             fixed_variance=fixed_variance,
             label_repeat=label_repeat,
+            epsilon=epsilon,
+            delta=delta,
+            noise_multiplier=noise_multiplier,
+            max_grad_norm=max_grad_norm,
             sampler=sampler,
             random_state=random_state,
         )
-        check_positive(epsilon, "epsilon")
-        check_probability(delta, "delta")
         check_positive(epsilon_pca, "epsilon_pca")
-        check_positive(max_grad_norm, "max_grad_norm")
         check_positive(clip_norm, "clip_norm")
         if noise_multiplier is None and sigma_em is None:
             raise ValueError("specify at least one of noise_multiplier or sigma_em")
-        if noise_multiplier is not None:
-            check_positive(noise_multiplier, "noise_multiplier")
         if sigma_em is not None:
             check_positive(sigma_em, "sigma_em")
-        self.epsilon = epsilon
-        self.delta = delta
         self.epsilon_pca = epsilon_pca
-        self.noise_multiplier = noise_multiplier
         self.sigma_em = sigma_em
-        self.max_grad_norm = max_grad_norm
         self.clip_norm = clip_norm
 
-        self.accountant_: Optional[P3GMAccountant] = None
         self.noise_multiplier_: Optional[float] = None
         self.sigma_em_: Optional[float] = None
 
@@ -133,11 +118,9 @@ class P3GM(PGM):
     # Privacy configuration
     # ------------------------------------------------------------------
 
-    def _configure_privacy(self, n_samples: int, n_features: int) -> None:
-        """Build the Theorem-4 accountant and calibrate the missing noise scale."""
-        batch_size = min(self.batch_size, n_samples)
-        sample_rate = batch_size / n_samples
-        steps = self.epochs * int(np.ceil(n_samples / batch_size))
+    def _build_accountant(self, n_samples: int, n_features: int) -> P3GMAccountant:
+        """The Theorem-4 accountant, with the missing noise scale calibrated."""
+        _, sample_rate, steps = self._dp_sgd_schedule(n_samples)
         uses_pca = self.latent_dim < n_features
 
         accountant = P3GMAccountant(
@@ -172,9 +155,7 @@ class P3GM(PGM):
             self.noise_multiplier_ = self.noise_multiplier
             self.sigma_em_ = self.sigma_em
 
-        self.accountant_ = replace(
-            accountant, sigma_em=self.sigma_em_, sigma_sgd=self.noise_multiplier_
-        )
+        return replace(accountant, sigma_em=self.sigma_em_, sigma_sgd=self.noise_multiplier_)
 
     # ------------------------------------------------------------------
     # Differentially private encoding phase
@@ -201,56 +182,8 @@ class P3GM(PGM):
         )
 
     # ------------------------------------------------------------------
-    # Differentially private decoding phase
-    # ------------------------------------------------------------------
-
-    def fit(self, X, y=None) -> "P3GM":
-        data = self._attach_labels(check_array(X, "X"), y)
-        self.n_input_features_ = data.shape[1]
-        self._configure_privacy(len(data), self.n_input_features_)
-        projected = self._encoding_phase(data)
-        self._decoding_phase(data, projected)
-        return self
-
-    def _make_optimizer(self, data: np.ndarray) -> DPSGD:
-        n_samples = len(data)
-        batch_size = min(self.batch_size, n_samples)
-        params = list(self._trainable_parameters())
-        return DPSGD(
-            params,
-            noise_multiplier=self.noise_multiplier_,
-            max_grad_norm=self.max_grad_norm,
-            expected_batch_size=batch_size,
-            sample_rate=batch_size / n_samples,
-            base_optimizer=Adam(params, lr=self.learning_rate),
-            rng=self._rng,
-        )
-
-    def _make_trainer(self, optimizer, n_samples: int) -> Trainer:
-        return Trainer(
-            self,
-            optimizer,
-            make_sampler(self.sampler, n_samples, self.batch_size),
-            callbacks=[
-                PrivacyBudgetTracker(self.accountant_, self.delta),
-                MetricsCallback(),
-                HistoryLogger(),
-                EpochHook(),
-                *self._engine_callbacks(),
-            ],
-            private=True,
-            rng=self._rng,
-        )
-
-    # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-
-    def privacy_spent(self) -> tuple:
-        """The Theorem-4 ``(epsilon, delta)`` guarantee of the fitted model."""
-        if self.accountant_ is None:
-            return (0.0, 0.0)
-        return (self.accountant_.epsilon(self.delta), self.delta)
 
     def privacy_spent_baseline(self) -> float:
         """Epsilon under the looser zCDP+MA baseline composition (Figure 6)."""
@@ -261,19 +194,6 @@ class P3GM(PGM):
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-
-    def get_config(self) -> dict:
-        config = super().get_config()
-        config.update(
-            epsilon=self.epsilon,
-            delta=self.delta,
-            epsilon_pca=self.epsilon_pca,
-            noise_multiplier=self.noise_multiplier,
-            sigma_em=self.sigma_em,
-            max_grad_norm=self.max_grad_norm,
-            clip_norm=self.clip_norm,
-        )
-        return config
 
     def state_dict(self) -> dict:
         state = super().state_dict()
@@ -302,5 +222,6 @@ class P3GM(PGM):
             sample_rate=float(state["accountant.sample_rate"]),
             sgd_steps=int(state["accountant.sgd_steps"]),
         )
+        self._fitted_epsilon = self.accountant_.epsilon(self.delta)
         super().load_state_dict(state)
         return self

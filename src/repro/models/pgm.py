@@ -25,33 +25,17 @@ from typing import Optional
 import numpy as np
 
 from repro.decomposition import PCA
-from repro.engine import (
-    CheckpointableMixin,
-    EpochHook,
-    HistoryLogger,
-    MetricsCallback,
-    Trainer,
-    make_sampler,
-)
 from repro.mixture import GaussianMixture
 from repro.mixture.kl import kl_gaussian_to_mog
-from repro.models.base import (
-    GenerativeModel,
-    LabelEncodingMixin,
-    decode_rows,
-    pack_state,
-    unpack_state,
-)
-from repro.nn import MLP, Adam, Tensor, no_grad
-from repro.nn import functional as F
-from repro.utils.logging import TrainingHistory
-from repro.utils.rng import as_generator
-from repro.utils.validation import check_array, check_n_samples, check_positive
+from repro.models.base import pack_state, unpack_state
+from repro.models.decoder import DecoderModel
+from repro.nn import MLP, Tensor
+from repro.utils.validation import check_positive
 
 __all__ = ["PGM"]
 
 
-class PGM(GenerativeModel, LabelEncodingMixin, CheckpointableMixin):
+class PGM(DecoderModel):
     """Phased generative model (non-private).
 
     Parameters
@@ -92,46 +76,32 @@ class PGM(GenerativeModel, LabelEncodingMixin, CheckpointableMixin):
         sampler: str = "shuffle",
         random_state=None,
     ):
-        check_positive(latent_dim, "latent_dim")
+        super().__init__(
+            latent_dim=latent_dim,
+            hidden=hidden,
+            epochs=epochs,
+            batch_size=batch_size,
+            learning_rate=learning_rate,
+            decoder_type=decoder_type,
+            label_repeat=label_repeat,
+            sampler=sampler,
+            random_state=random_state,
+        )
         check_positive(n_mixture_components, "n_mixture_components")
         check_positive(em_iterations, "em_iterations")
-        check_positive(epochs, "epochs")
-        check_positive(batch_size, "batch_size")
-        check_positive(learning_rate, "learning_rate")
-        check_positive(label_repeat, "label_repeat")
-        if decoder_type not in ("bernoulli", "gaussian"):
-            raise ValueError("decoder_type must be 'bernoulli' or 'gaussian'")
         if variance_mode not in ("learned", "fixed"):
             raise ValueError("variance_mode must be 'learned' or 'fixed'")
         if fixed_variance < 0:
             raise ValueError("fixed_variance must be non-negative")
-        if sampler not in ("shuffle", "poisson"):
-            raise ValueError("sampler must be 'shuffle' or 'poisson'")
-        self.latent_dim = latent_dim
         self.n_mixture_components = n_mixture_components
         self.em_iterations = em_iterations
-        self.hidden = tuple(hidden)
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
-        self.decoder_type = decoder_type
         self.variance_mode = variance_mode
         self.fixed_variance = fixed_variance
-        self.label_repeat = label_repeat
-        self.sampler = sampler
-        self.random_state = random_state
-        self._rng = as_generator(random_state)
 
         self.reducer = None
         self.prior: Optional[GaussianMixture] = None
         self.variance_head: Optional[MLP] = None
-        self.decoder: Optional[MLP] = None
-        self.n_input_features_: Optional[int] = None
         self.effective_latent_dim_: Optional[int] = None
-        self.history = TrainingHistory()
-        #: Optional hook ``callback(model, epoch)`` invoked after every epoch
-        #: (used by the learning-efficiency experiments, Figure 7).
-        self.epoch_callback = None
 
     # ------------------------------------------------------------------
     # Encoding Phase
@@ -194,7 +164,13 @@ class PGM(GenerativeModel, LabelEncodingMixin, CheckpointableMixin):
         final_linear(self.variance_head).weight.data *= 0.01
         final_linear(self.decoder).weight.data *= 0.01
 
-    def _trainable_parameters(self):
+    def _prepare_training(self, data: np.ndarray):
+        """Run the encoding phase, then build the decoding-phase networks."""
+        projected = self._encoding_phase(data)
+        self._build_networks(self.n_input_features_)
+        return lambda index: self._per_example_loss(data[index], projected[index])
+
+    def _parameters(self):
         if self.variance_mode == "learned":
             yield from self.variance_head.parameters()
         yield from self.decoder.parameters()
@@ -208,15 +184,14 @@ class PGM(GenerativeModel, LabelEncodingMixin, CheckpointableMixin):
         value = np.full((batch_size, self.effective_latent_dim_), np.log(self.fixed_variance))
         return Tensor(value)
 
-    def _reconstruction_term(self, decoded: Tensor, target: np.ndarray) -> Tensor:
-        if self.decoder_type == "bernoulli":
-            per_feature = F.binary_cross_entropy(decoded, target, reduction="none")
-        else:
-            per_feature = 0.5 * (decoded - Tensor(target)) ** 2
-        return per_feature.sum(axis=1)
+    def _per_example_loss(self, batch: np.ndarray, projected=None) -> tuple:
+        """Per-example (reconstruction, kl) for the decoding-phase objective (Eq. 8).
 
-    def _per_example_loss(self, batch: np.ndarray, projected: np.ndarray) -> tuple:
-        """Per-example (reconstruction, kl) for the decoding-phase objective (Eq. 8)."""
+        ``projected`` is the fixed encoder mean ``f(batch)``, computed when
+        not given (training slices the encoding phase's projection instead).
+        """
+        if projected is None:
+            projected = self._project(batch)
         x = Tensor(batch)
         mu = Tensor(projected)  # fixed encoder mean: no gradient flows into it
         log_var = self._log_variance(x, len(batch))
@@ -237,88 +212,14 @@ class PGM(GenerativeModel, LabelEncodingMixin, CheckpointableMixin):
         reconstruction = self._reconstruction_term(decoded, batch)
         return reconstruction, kl
 
-    # ------------------------------------------------------------------
-    # Training loop
-    # ------------------------------------------------------------------
-
-    def fit(self, X, y=None) -> "PGM":
-        data = self._attach_labels(check_array(X, "X"), y)
-        self.n_input_features_ = data.shape[1]
-        projected = self._encoding_phase(data)
-        self._decoding_phase(data, projected)
-        return self
-
-    def _decoding_phase(self, data: np.ndarray, projected: np.ndarray) -> None:
-        """Train the decoder (and variance head) on the fixed encoder mean."""
-        self._build_networks(self.n_input_features_)
-        optimizer = self._make_optimizer(data)
-        trainer = self._make_trainer(optimizer, len(data))
-        trainer.fit(
-            len(data),
-            self.epochs,
-            lambda index: self._per_example_loss(data[index], projected[index]),
-            **self._engine_fit_kwargs(),
-        )
-
-    def _make_optimizer(self, data: np.ndarray):
-        return Adam(list(self._trainable_parameters()), lr=self.learning_rate)
-
-    def _make_trainer(self, optimizer, n_samples: int) -> Trainer:
-        return Trainer(
-            self,
-            optimizer,
-            make_sampler(self.sampler, n_samples, self.batch_size),
-            callbacks=[HistoryLogger(), MetricsCallback(), EpochHook(), *self._engine_callbacks()],
-            rng=self._rng,
-        )
-
-    # ------------------------------------------------------------------
-    # Evaluation helpers and sampling
-    # ------------------------------------------------------------------
-
-    def reconstruction_loss(self, X, y=None) -> float:
-        """Mean per-example reconstruction loss (Figure 7 metric)."""
-        self._check_fitted()
-        data = check_array(X, "X")
-        if self._n_classes and data.shape[1] == self.n_feature_columns:
-            if y is None:
-                raise ValueError("model was trained with labels; pass y as well")
-            data = self._with_label_block(data, y)
-        projected = self._project(data)
-        with no_grad():
-            reconstruction, _ = self._per_example_loss(data, projected)
-        return float(reconstruction.data.mean())
-
-    def sample(self, n_samples: int, rng=None) -> np.ndarray:
-        """Data synthesis (Section IV-E): ``z ~ MoG(lambda)``, then decode."""
-        n_samples = check_n_samples(n_samples)
-        self._check_fitted()
-        rng = self._rng if rng is None else as_generator(rng)
+    def _sample_latent(self, n_samples: int, rng) -> np.ndarray:
+        """The latent draw of data synthesis (Section IV-E): ``z ~ MoG(lambda)``."""
         latent, _ = self.prior.sample(n_samples, rng=rng)
-        return decode_rows(self.decoder, latent, self.decoder_type)
-
-    def privacy_spent(self) -> tuple:
-        return (float("inf"), 0.0)
+        return latent
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-
-    def get_config(self) -> dict:
-        return {
-            "latent_dim": self.latent_dim,
-            "n_mixture_components": self.n_mixture_components,
-            "em_iterations": self.em_iterations,
-            "hidden": list(self.hidden),
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "decoder_type": self.decoder_type,
-            "variance_mode": self.variance_mode,
-            "fixed_variance": self.fixed_variance,
-            "label_repeat": self.label_repeat,
-            "sampler": self.sampler,
-        }
 
     def state_dict(self) -> dict:
         self._check_fitted()
@@ -364,7 +265,3 @@ class PGM(GenerativeModel, LabelEncodingMixin, CheckpointableMixin):
         self.variance_head.load_state_dict(unpack_state(state, "variance_head."))
         self.decoder.load_state_dict(unpack_state(state, "decoder."))
         return self
-
-    def _check_fitted(self) -> None:
-        if self.decoder is None or self.prior is None:
-            raise RuntimeError("model is not fitted yet; call fit() first")

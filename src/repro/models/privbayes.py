@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.models.base import GenerativeModel
+from repro.models.base import GenerativeModel, label_quotas
 from repro.privacy.mechanisms import laplace_mechanism
 from repro.transforms import EqualWidthDiscretizer, OrdinalCategorical, fit_discrete_column
 from repro.utils.rng import as_generator
@@ -311,19 +311,7 @@ class PrivBayes(GenerativeModel):
             chosen = rng.choice(len(features), size=n_samples, replace=False)
             return features[chosen], self._classes[generated_labels[chosen]]
 
-        if class_counts is not None:
-            quotas = np.asarray(class_counts, dtype=np.int64)
-            if quotas.shape != (len(self._classes),) or (quotas < 0).any():
-                raise ValueError(
-                    f"class_counts must be {len(self._classes)} non-negative integers"
-                )
-            if quotas.sum() != n_samples:
-                raise ValueError(
-                    f"class_counts sum to {quotas.sum()} but n_samples is {n_samples}"
-                )
-        else:
-            quotas = np.round(self._label_ratio * n_samples).astype(int)
-            quotas[np.argmax(quotas)] += n_samples - quotas.sum()
+        quotas = label_quotas(self._label_ratio, n_samples, class_counts)
         selected, labels_out = [], []
         for class_index, quota in enumerate(quotas):
             if quota == 0:
@@ -349,14 +337,6 @@ class PrivBayes(GenerativeModel):
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-
-    def get_config(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "degree": self.degree,
-            "n_bins": self.n_bins,
-            "max_parent_candidates": self.max_parent_candidates,
-        }
 
     def state_dict(self) -> dict:
         self._check_fitted()

@@ -14,31 +14,15 @@ from typing import Optional
 
 import numpy as np
 
-from repro.engine import (
-    CheckpointableMixin,
-    EpochHook,
-    HistoryLogger,
-    MetricsCallback,
-    Trainer,
-    make_sampler,
-)
-from repro.models.base import (
-    GenerativeModel,
-    LabelEncodingMixin,
-    decode_rows,
-    pack_state,
-    unpack_state,
-)
-from repro.nn import MLP, Adam, Tensor, no_grad
+from repro.models.base import pack_state, unpack_state
+from repro.models.decoder import DecoderModel
+from repro.nn import MLP, Tensor
 from repro.nn import functional as F
-from repro.utils.logging import TrainingHistory
-from repro.utils.rng import as_generator
-from repro.utils.validation import check_array, check_n_samples, check_positive
 
 __all__ = ["VAE"]
 
 
-class VAE(GenerativeModel, LabelEncodingMixin, CheckpointableMixin):
+class VAE(DecoderModel):
     """Auto-Encoding Variational Bayes with an isotropic Gaussian prior.
 
     Parameters
@@ -61,45 +45,7 @@ class VAE(GenerativeModel, LabelEncodingMixin, CheckpointableMixin):
         implications.
     """
 
-    def __init__(
-        self,
-        latent_dim: int = 10,
-        hidden: tuple = (1000,),
-        epochs: int = 10,
-        batch_size: int = 100,
-        learning_rate: float = 1e-3,
-        decoder_type: str = "bernoulli",
-        label_repeat: int = 10,
-        sampler: str = "shuffle",
-        random_state=None,
-    ):
-        check_positive(latent_dim, "latent_dim")
-        check_positive(epochs, "epochs")
-        check_positive(batch_size, "batch_size")
-        check_positive(learning_rate, "learning_rate")
-        check_positive(label_repeat, "label_repeat")
-        if decoder_type not in ("bernoulli", "gaussian"):
-            raise ValueError("decoder_type must be 'bernoulli' or 'gaussian'")
-        if sampler not in ("shuffle", "poisson"):
-            raise ValueError("sampler must be 'shuffle' or 'poisson'")
-        self.latent_dim = latent_dim
-        self.hidden = tuple(hidden)
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
-        self.decoder_type = decoder_type
-        self.label_repeat = label_repeat
-        self.sampler = sampler
-        self.random_state = random_state
-        self._rng = as_generator(random_state)
-
-        self.encoder: Optional[MLP] = None
-        self.decoder: Optional[MLP] = None
-        self.n_input_features_: Optional[int] = None
-        self.history = TrainingHistory()
-        #: Optional hook ``callback(model, epoch)`` invoked after every epoch
-        #: (used by the learning-efficiency experiments, Figure 7).
-        self.epoch_callback = None
+    encoder: Optional[MLP] = None
 
     # -- model construction ---------------------------------------------------------
 
@@ -117,6 +63,10 @@ class VAE(GenerativeModel, LabelEncodingMixin, CheckpointableMixin):
         final_linear(self.encoder).weight.data *= 0.01
         final_linear(self.decoder).weight.data *= 0.01
 
+    def _prepare_training(self, data: np.ndarray):
+        self._build(self.n_input_features_)
+        return lambda index: self._per_example_loss(data[index])
+
     def _parameters(self):
         yield from self.encoder.parameters()
         yield from self.decoder.parameters()
@@ -133,14 +83,6 @@ class VAE(GenerativeModel, LabelEncodingMixin, CheckpointableMixin):
         noise = Tensor(self._rng.normal(size=mu.shape))
         return mu + (log_var * 0.5).exp() * noise
 
-    def _reconstruction_term(self, decoded: Tensor, target: np.ndarray) -> Tensor:
-        """Per-example negative log-likelihood of the decoder, shape (batch,)."""
-        if self.decoder_type == "bernoulli":
-            per_feature = F.binary_cross_entropy(decoded, target, reduction="none")
-        else:
-            per_feature = 0.5 * (decoded - Tensor(target)) ** 2
-        return per_feature.sum(axis=1)
-
     def _per_example_loss(self, batch: np.ndarray) -> tuple:
         """Return per-example ``(reconstruction, kl)`` tensors for a batch."""
         x = Tensor(batch)
@@ -151,80 +93,12 @@ class VAE(GenerativeModel, LabelEncodingMixin, CheckpointableMixin):
         kl = F.kl_standard_normal(mu, log_var, reduction="none")
         return reconstruction, kl
 
-    # -- training -----------------------------------------------------------------------
-
-    def fit(self, X, y=None) -> "VAE":
-        data = self._attach_labels(check_array(X, "X"), y)
-        self.n_input_features_ = data.shape[1]
-        self._build(self.n_input_features_)
-        n_samples = len(data)
-        optimizer = self._make_optimizer(n_samples)
-        trainer = self._make_trainer(optimizer, n_samples)
-        trainer.fit(
-            n_samples,
-            self.epochs,
-            lambda index: self._per_example_loss(data[index]),
-            **self._engine_fit_kwargs(),
-        )
-        return self
-
-    def _make_optimizer(self, n_samples: int):
-        return Adam(list(self._parameters()), lr=self.learning_rate)
-
-    def _make_trainer(self, optimizer, n_samples: int) -> Trainer:
-        return Trainer(
-            self,
-            optimizer,
-            make_sampler(self.sampler, n_samples, self.batch_size),
-            # The checkpoint callback goes last so it snapshots every other
-            # callback's post-epoch state.
-            callbacks=[HistoryLogger(), MetricsCallback(), EpochHook(), *self._engine_callbacks()],
-            rng=self._rng,
-        )
-
-    # -- evaluation helpers ------------------------------------------------------------------
-
-    def reconstruction_loss(self, X, y=None) -> float:
-        """Mean per-example reconstruction loss (Figure 7a/7b metric)."""
-        self._check_fitted()
-        data = check_array(X, "X")
-        if self._n_classes and data.shape[1] == self.n_feature_columns:
-            if y is None:
-                raise ValueError("model was trained with labels; pass y as well")
-            data = self._with_label_block(data, y)
-        with no_grad():
-            reconstruction, _ = self._per_example_loss(data)
-        return float(reconstruction.data.mean())
-
     # -- sampling ----------------------------------------------------------------------------
-
-    def sample(self, n_samples: int, rng=None) -> np.ndarray:
-        """Draw synthetic rows (features + one-hot label block if labelled)."""
-        n_samples = check_n_samples(n_samples)
-        self._check_fitted()
-        rng = self._rng if rng is None else as_generator(rng)
-        latent = self._sample_latent(n_samples, rng)
-        return decode_rows(self.decoder, latent, self.decoder_type)
 
     def _sample_latent(self, n_samples: int, rng) -> np.ndarray:
         return rng.normal(size=(n_samples, self.latent_dim))
 
-    def privacy_spent(self) -> tuple:
-        return (float("inf"), 0.0)
-
     # -- persistence -------------------------------------------------------------------------
-
-    def get_config(self) -> dict:
-        return {
-            "latent_dim": self.latent_dim,
-            "hidden": list(self.hidden),
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "decoder_type": self.decoder_type,
-            "label_repeat": self.label_repeat,
-            "sampler": self.sampler,
-        }
 
     def state_dict(self) -> dict:
         self._check_fitted()
@@ -241,7 +115,3 @@ class VAE(GenerativeModel, LabelEncodingMixin, CheckpointableMixin):
         self.encoder.load_state_dict(unpack_state(state, "encoder."))
         self.decoder.load_state_dict(unpack_state(state, "decoder."))
         return self
-
-    def _check_fitted(self) -> None:
-        if self.decoder is None:
-            raise RuntimeError("model is not fitted yet; call fit() first")

@@ -28,6 +28,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from repro.models.base import label_quotas
 from repro.obs import get_registry
 from repro.serving.artifacts import (
     ArtifactError,
@@ -371,8 +372,7 @@ class SynthesisService:
             raise ArtifactError(
                 f"model {ref!r} was trained without labels; use stream() instead"
             )
-        total_quotas = np.round(np.asarray(ratio) * n_samples).astype(np.int64)
-        total_quotas[np.argmax(total_quotas)] += n_samples - total_quotas.sum()
+        total_quotas = label_quotas(ratio, n_samples)
 
         def generate():
             emitted = np.zeros_like(total_quotas)

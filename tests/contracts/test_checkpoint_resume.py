@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from contract_kit import make_contract_data, tiny_model
-from repro.engine import CheckpointableMixin, latest_checkpoint
+from repro.engine import CheckpointableMixin, Trainer, latest_checkpoint
 from repro.serving.registry import get_model_spec, registered_synthesizers
 
 RESUMABLE = tuple(
@@ -27,6 +27,36 @@ ABORT_AT_EPOCH = 1  # killed during the second epoch's hook
 
 def test_every_trainer_based_model_is_checkpointable():
     assert set(RESUMABLE) == {"vae", "dp-vae", "pgm", "p3gm"}
+
+
+#: Checkpoint manifests record the callback class names in order, and resume
+#: refuses a checkpoint whose names differ from the live trainer's.
+PUBLIC_CALLBACKS = ["HistoryLogger", "MetricsCallback", "EpochHook"]
+PRIVATE_CALLBACKS = ["PrivacyBudgetTracker", "MetricsCallback", "HistoryLogger", "EpochHook"]
+TRAINER_CALLBACKS = {
+    "vae": PUBLIC_CALLBACKS,
+    "pgm": PUBLIC_CALLBACKS,
+    "dp-vae": PRIVATE_CALLBACKS,
+    "p3gm": PRIVATE_CALLBACKS,
+}
+
+
+@pytest.mark.parametrize("checkpointing", [False, True], ids=["plain", "checkpointed"])
+@pytest.mark.parametrize("name", RESUMABLE)
+def test_trainer_callback_names_are_pinned(name, checkpointing, contract_X, tmp_path, monkeypatch):
+    built = []
+
+    def record(trainer, *args, **kwargs):
+        built.append([type(callback).__name__ for callback in trainer.callbacks])
+        return trainer
+
+    monkeypatch.setattr(Trainer, "fit", record)
+    model = tiny_model(name)
+    if checkpointing:
+        model.configure_checkpointing(tmp_path)
+    model.fit(contract_X)
+    checkpoint = ["CheckpointCallback"] if checkpointing else []
+    assert built == [TRAINER_CALLBACKS[name] + checkpoint]
 
 
 def resumable_model(name):

@@ -10,8 +10,13 @@ seventh model gives it this entire suite with zero new test code:
 - mixed-type round-trip: fitted on a :class:`repro.transforms.TableTransformer`
   encoding of the ``adult_mixed`` simulator, every model's samples decode back
   to valid original-space rows (real category labels, in-range numerics) —
-  including through a released artifact carrying the transformer.
+  including through a released artifact carrying the transformer,
+- ``get_config()`` is the constructor: one JSON-safe entry per argument,
+- ``sample_labeled`` rejects malformed ``class_counts``.
 """
+
+import inspect
+import json
 
 import numpy as np
 import pytest
@@ -79,6 +84,28 @@ def test_privacy_spent_respects_the_configured_budget(name, fitted_contract_mode
         assert model.is_private
     else:
         assert np.isinf(epsilon_spent) and not model.is_private
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_config_holds_every_constructor_argument(name):
+    model = tiny_model(name)
+    config = model.get_config()
+    arguments = set(inspect.signature(type(model)).parameters) - {"random_state"}
+    assert set(config) == arguments
+    assert json.loads(json.dumps(config)) == config
+    assert type(model)(**config).get_config() == config
+
+
+@pytest.mark.parametrize(
+    "class_counts", [[23], [25, -2], [12, 10]], ids=["shape", "negative", "sum"]
+)
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_sample_labeled_rejects_malformed_class_counts(
+    name, class_counts, fitted_contract_models
+):
+    model = fitted_contract_models[name]
+    with pytest.raises(ValueError, match="class_counts"):
+        model.sample_labeled(23, rng=0, generation_rng=0, class_counts=class_counts)
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)

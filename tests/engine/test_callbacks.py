@@ -14,7 +14,7 @@ from repro.engine import (
     ShuffleSampler,
     Trainer,
 )
-from repro.models import DPVAE, P3GM, VAE
+from repro.models import DPVAE, P3GM, PGM, VAE
 from repro.privacy.accounting import P3GMAccountant
 from repro.utils.logging import TrainingHistory
 
@@ -63,6 +63,13 @@ class TestHistoryLogger:
     def test_load_state_dict_rejects_wrong_keys(self):
         with pytest.raises(ValueError, match="records"):
             HistoryLogger().load_state_dict(FakeTrainer(), FakeModel(), {"other": np.asarray(1)})
+
+    @pytest.mark.parametrize("model_cls", [VAE, PGM, DPVAE, P3GM])
+    def test_refit_replaces_the_previous_run(self, model_cls, toy_unlabeled_data):
+        model = model_cls(latent_dim=4, hidden=(8,), epochs=2, batch_size=100, random_state=0)
+        model.fit(toy_unlabeled_data)
+        model.fit(toy_unlabeled_data)
+        assert model.history.series("epoch") == [0, 1]
 
 
 class TestStatelessCallbackState:

@@ -52,8 +52,7 @@ def private_trainer(model, sampler, callbacks=(), **dpsgd):
         expected_batch_size=5, rng=7, **dpsgd,
     )
     return Trainer(
-        model, optimizer, sampler, callbacks=[*callbacks, HistoryLogger()],
-        private=True, rng=model._rng,
+        model, optimizer, sampler, callbacks=[*callbacks, HistoryLogger()], rng=model._rng
     )
 
 
