@@ -10,10 +10,10 @@ requests through :class:`repro.serving.SynthesisService`:
   produced in bounded chunks, so peak memory is governed by ``chunk_size``
   and stays flat as ``n`` grows — the property that makes
   ``python -m repro sample -n 1_000_000`` safe on a laptop.
-- **fused vs tape** — ``model.sample`` with the compiled tape-free decoder
-  path (:mod:`repro.nn.inference`, the default) against the autograd tape
-  (``fused_inference(False)``), on a paper-width ``hidden=(1000,)`` decoder
-  where the tape's per-op Tensor overhead is the dominant cost.
+- **fused vs tape** — ``model.sample``, which decodes through the compiled
+  tape-free plan (:mod:`repro.nn.inference`), against the same latent draw
+  decoded by the autograd tape forward, on a paper-width ``hidden=(1000,)``
+  decoder where the tape's per-op Tensor overhead is the dominant cost.
 
 Writes ``benchmarks/results/BENCH_sampling_throughput.json`` and exits
 non-zero if streaming's peak memory is not decisively below one-shot's at the
@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.datasets import load_dataset
 from repro.models import VAE
-from repro.nn.inference import fused_inference
+from repro.nn import Tensor, no_grad
 from repro.serving import SynthesisService, save_artifact
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_sampling_throughput.json"
@@ -94,8 +94,17 @@ def run_stream(service: SynthesisService, ref, n: int, chunk_size: int) -> dict:
     return {"mode": "stream", "n_rows": n, "chunk_size": chunk_size, **result}
 
 
+def tape_sample(model, n: int, rng) -> np.ndarray:
+    """``model.sample(n)`` with the decoder run on the autograd tape."""
+    latent = model._sample_latent(n, rng)
+    with no_grad():
+        decoded = model.decoder(Tensor(latent)).data
+    np.clip(decoded, 0.0, 1.0, out=decoded)  # the Bernoulli output clip
+    return decoded
+
+
 def run_fused_vs_tape(seed: int = 0, n: int = 4096, repeats: int = 15) -> list:
-    """Seeded ``sample`` timings with the fused decoder path on and off.
+    """Seeded ``sample`` timings through the compiled plan and the tape.
 
     Uses the paper's decoder width (one hidden layer of 1000 units): at
     ``hidden=(64,)`` both paths are arithmetic-bound and the fused win is
@@ -112,13 +121,16 @@ def run_fused_vs_tape(seed: int = 0, n: int = 4096, repeats: int = 15) -> list:
     model.fit(data.X_train)
 
     def best(fused: bool) -> dict:
+        def draw():
+            rng = np.random.default_rng(7)
+            return model.sample(n, rng=rng) if fused else tape_sample(model, n, rng)
+
         elapsed = float("inf")
-        with fused_inference(fused):
-            model.sample(n, rng=np.random.default_rng(7))  # warmup both paths
-            for _ in range(repeats):
-                start = time.perf_counter()
-                model.sample(n, rng=np.random.default_rng(7))
-                elapsed = min(elapsed, time.perf_counter() - start)
+        draw()  # warmup both paths
+        for _ in range(repeats):
+            start = time.perf_counter()
+            draw()
+            elapsed = min(elapsed, time.perf_counter() - start)
         return {
             "mode": "decode_fused" if fused else "decode_tape",
             "n_rows": n,

@@ -8,10 +8,13 @@ concurrent stdlib clients streaming seeded NDJSON requests — and measures:
   :class:`SynthesisHTTPServer` versus pre-fork :class:`WorkerPool` tiers
   (every request must complete with status 200; a saturated or wedged server
   fails the run, not just slows it);
-- **multi-core scaling**: on a machine with enough cores, the 4-process pool
-  at 32 clients must reach at least 3x the single-process req/s — the whole
-  point of the pre-fork tier.  On smaller boxes the gate records the core
-  count and passes trivially (the pool cannot beat the GIL with one core);
+- **multi-core scaling**: at the top concurrency level (32 clients, 8 with
+  ``--smoke``) every pool must reach ``SCALING_FRACTION`` (0.75) x
+  min(processes, cores) x the single-process req/s — the whole point of the
+  pre-fork tier.  That is 1.5x for the 2-process pool on any box with 2 or
+  more cores, and 3x for the 4-process pool on 4 or more; only on a single
+  core does the gate record itself as not applicable (the pool cannot beat
+  the GIL there);
 - **peak traced memory** while a client consumes one large streamed request
   incrementally, against a one-shot in-process ``model.sample(n)`` of the
   same size — the HTTP tier must inherit the service's bounded-chunk

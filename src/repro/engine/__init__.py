@@ -13,10 +13,9 @@ aggregation, optimizer stepping, and callback dispatch.  The pieces:
 - :mod:`repro.engine.callbacks` — a small hook API (``on_train_begin`` /
   ``on_step_end`` / ``on_epoch_end`` / ``on_train_end``) with built-ins for
   history logging, privacy-budget tracking (the model accountant's composed
-  epsilon at the steps taken so far), ELBO-plateau early stopping, and
-  :class:`MetricsCallback`, which publishes throughput, step/epoch timing,
-  gradient-clipping diagnostics, and the privacy-budget gauge onto the
-  :mod:`repro.obs` metrics registry.
+  epsilon at the steps taken so far), and :class:`MetricsCallback`, which
+  publishes throughput, step/epoch timing, gradient-clipping diagnostics,
+  and the privacy-budget gauge onto the :mod:`repro.obs` metrics registry.
 - :mod:`repro.engine.trainer` — the :class:`Trainer` itself.  Its private
   mode follows from a :class:`repro.privacy.DPSGD` optimizer: the backward
   pass runs inside :func:`repro.nn.grad_sample_mode`, and an empty Poisson
@@ -42,7 +41,6 @@ recover the legacy behaviour.
 
 from repro.engine.callbacks import (
     Callback,
-    EarlyStopping,
     EpochHook,
     HistoryLogger,
     MetricsCallback,
@@ -69,7 +67,6 @@ __all__ = [
     "Callback",
     "HistoryLogger",
     "PrivacyBudgetTracker",
-    "EarlyStopping",
     "EpochHook",
     "MetricsCallback",
     "Checkpoint",

@@ -1,9 +1,9 @@
 """Callback API of the training engine.
 
-Callbacks observe (and may steer) a :class:`repro.engine.Trainer` run.  The
-trainer builds a ``logs`` dict per epoch (``epoch``, ``reconstruction_loss``,
-``kl_loss``, ``elbo_loss``) and passes it through the callback list in order,
-so an earlier callback can enrich the record a later one persists —
+Callbacks observe a :class:`repro.engine.Trainer` run.  The trainer builds a
+``logs`` dict per epoch (``epoch``, ``reconstruction_loss``, ``kl_loss``,
+``elbo_loss``) and passes it through the callback list in order, so an
+earlier callback can enrich the record a later one persists —
 :class:`PrivacyBudgetTracker` adds ``epsilon`` before :class:`HistoryLogger`
 writes the record into ``model.history``.
 """
@@ -18,13 +18,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.utils.validation import check_positive
 
 __all__ = [
     "Callback",
     "HistoryLogger",
     "PrivacyBudgetTracker",
-    "EarlyStopping",
     "EpochHook",
     "MetricsCallback",
 ]
@@ -33,12 +31,11 @@ __all__ = [
 class Callback:
     """Base class: override any subset of the hooks.
 
-    Callbacks that accumulate state across epochs (``EarlyStopping``'s plateau
-    counter, ``HistoryLogger``'s records) additionally implement the
-    ``state_dict``/``load_state_dict`` pair so a training checkpoint can
-    restore them; the trainer restores callback state *after* dispatching
-    ``on_train_begin``, so a fresh-run reset in that hook never clobbers a
-    resumed run's state.
+    Callbacks that accumulate state across epochs (``HistoryLogger``'s
+    records) additionally implement the ``state_dict``/``load_state_dict``
+    pair so a training checkpoint can restore them; the trainer restores
+    callback state *after* dispatching ``on_train_begin``, so a fresh-run
+    reset in that hook never clobbers a resumed run's state.
     """
 
     def on_train_begin(self, trainer, model) -> None:
@@ -51,7 +48,7 @@ class Callback:
         """Called after every epoch with the epoch-mean losses."""
 
     def on_train_end(self, trainer, model) -> None:
-        """Called once after the final epoch (also after an early stop)."""
+        """Called once after the final epoch."""
 
     def state_dict(self, trainer, model) -> dict:
         """Resumable state as plain numpy arrays (``{}`` for stateless hooks)."""
@@ -125,75 +122,6 @@ class PrivacyBudgetTracker(Callback):
     def on_epoch_end(self, trainer, model, epoch: int, logs: dict) -> None:
         spent = replace(self.accountant, sgd_steps=trainer.optimizer.steps_taken)
         logs["epsilon"] = spent.epsilon(self.delta)
-
-
-class EarlyStopping(Callback):
-    """Stop training when the monitored loss stops improving.
-
-    Monitors ``logs[monitor]`` (default: the ELBO loss) and asks the trainer
-    to stop after ``patience`` consecutive epochs without an improvement of at
-    least ``min_delta``.
-    """
-
-    def __init__(self, monitor: str = "elbo_loss", patience: int = 3, min_delta: float = 0.0):
-        check_positive(patience, "patience")
-        if min_delta < 0:
-            raise ValueError("min_delta must be non-negative")
-        self.monitor = monitor
-        self.patience = int(patience)
-        self.min_delta = float(min_delta)
-        self.best: Optional[float] = None
-        self.wait = 0
-        self.stopped_epoch: Optional[int] = None
-
-    def on_train_begin(self, trainer, model) -> None:
-        # One callback instance may drive several fits; a stale best/wait from
-        # a previous run would otherwise stop the new run against the old
-        # loss scale.  (Resume restores the checkpointed state after this.)
-        self.best = None
-        self.wait = 0
-        self.stopped_epoch = None
-
-    def on_epoch_end(self, trainer, model, epoch: int, logs: dict) -> None:
-        current = logs.get(self.monitor)
-        if current is None or not math.isfinite(current):
-            # An all-empty-Poisson epoch logs NaN losses.  NaN compares false
-            # with everything, so letting it become `best` would make every
-            # later epoch look like "no improvement" and force a stop after
-            # `patience` epochs regardless of the real loss trend.
-            return
-        if self.best is None or current < self.best - self.min_delta:
-            self.best = float(current)
-            self.wait = 0
-            return
-        self.wait += 1
-        if self.wait >= self.patience:
-            self.stopped_epoch = epoch
-            trainer.stop_training = True
-
-    def state_dict(self, trainer, model) -> dict:
-        return {
-            # NaN marks "no finite value seen yet": the monitor skips
-            # non-finite values above, so NaN can never be a real `best`.
-            "best": np.asarray(float("nan") if self.best is None else self.best),
-            "wait": np.asarray(self.wait),
-            "stopped_epoch": np.asarray(
-                -1 if self.stopped_epoch is None else self.stopped_epoch
-            ),
-        }
-
-    def load_state_dict(self, trainer, model, state: dict) -> None:
-        expected = {"best", "wait", "stopped_epoch"}
-        if set(state) != expected:
-            raise ValueError(
-                f"EarlyStopping state mismatch: checkpoint has {sorted(state)}, "
-                f"expected {sorted(expected)}"
-            )
-        best = float(state["best"])
-        self.best = None if math.isnan(best) else best
-        self.wait = int(state["wait"])
-        stopped = int(state["stopped_epoch"])
-        self.stopped_epoch = None if stopped < 0 else stopped
 
 
 class MetricsCallback(Callback):

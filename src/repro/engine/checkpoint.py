@@ -5,13 +5,13 @@ if it had never stopped:
 
 - the live parameter values being optimised (restored **in place** on the
   optimizer's parameter objects, so optimizer and model keep sharing them);
-- the optimizer's mutable buffers (`SGD` momentum, `Adam` moments and step
-  count, `DPSGD` steps taken + base-optimizer state + noise-RNG state);
+- the optimizer's mutable buffers (`Adam` moments and step count, `DPSGD`
+  steps taken + base-optimizer state + noise-RNG state);
 - the sampler RNG's bit-generator state (the models share one generator for
   batch order, reparameterisation noise, and DP noise, so this single state
   pins the entire stochastic stream);
-- resumable callback state (`EarlyStopping` plateau counters, the
-  `HistoryLogger` records accumulated so far);
+- resumable callback state (the `HistoryLogger` records accumulated so
+  far);
 - the model's full ``state_dict()`` and config, so a checkpoint can also be
   loaded standalone (e.g. to salvage weights from a dead run);
 - trainer progress (next epoch, global step) in the manifest.

@@ -72,9 +72,6 @@ class Trainer:
         self.callbacks = list(callbacks)
         self.private = isinstance(optimizer, DPSGD)
         self.rng = as_generator(rng)
-        #: Set by callbacks (e.g. EarlyStopping) to end training after the
-        #: current epoch.
-        self.stop_training = False
         #: Progress counters: the epoch currently (or next) being run and the
         #: number of optimizer steps taken; both are checkpointed and restored.
         self.epoch = 0
@@ -105,7 +102,6 @@ class Trainer:
                 "fit() requires at least one sample"
             )
         n_samples = int(n_samples)
-        self.stop_training = False
         self.epoch = 0
         self.global_step = 0
         for callback in self.callbacks:
@@ -146,9 +142,9 @@ class Trainer:
             if batches == 0:
                 # Every draw of the epoch was empty: there are no losses to
                 # report.  Log NaN rather than a fabricated 0.0 (which would
-                # read as a perfect epoch to history consumers and
-                # EarlyStopping); callbacks still fire so per-epoch hooks keep
-                # their one-call-per-epoch contract.
+                # read as a perfect epoch to history consumers); callbacks
+                # still fire so per-epoch hooks keep their one-call-per-epoch
+                # contract.
                 epoch_recon = epoch_kl = float("nan")
                 batches = 1
             logs = {
@@ -160,8 +156,6 @@ class Trainer:
             for callback in self.callbacks:
                 callback.on_epoch_end(self, self.model, epoch, logs)
             self.epoch = epoch + 1
-            if self.stop_training:
-                break
         for callback in self.callbacks:
             callback.on_train_end(self, self.model)
         return self

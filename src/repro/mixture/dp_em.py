@@ -42,14 +42,12 @@ class DPGaussianMixture(GaussianMixture):
         n_components: int = 3,
         sigma: float = 10.0,
         clip_norm: float = 1.0,
-        covariance_type: str = "diag",
         n_iter: int = 20,
         reg_covar: float = 1e-6,
         random_state=None,
     ):
         super().__init__(
             n_components=n_components,
-            covariance_type=covariance_type,
             n_iter=n_iter,
             reg_covar=reg_covar,
             random_state=random_state,
@@ -83,14 +81,4 @@ class DPGaussianMixture(GaussianMixture):
         self.means_ = self.means_ + rng.normal(0.0, noise_scale, size=self.means_.shape)
 
         noisy_cov = self.covariances_ + rng.normal(0.0, noise_scale, size=self.covariances_.shape)
-        if self.covariance_type == "diag":
-            self.covariances_ = np.maximum(noisy_cov, self.reg_covar)
-        else:
-            # Symmetrise and project to the PSD cone via eigenvalue clipping.
-            projected = np.empty_like(noisy_cov)
-            for k in range(self.n_components):
-                symmetric = 0.5 * (noisy_cov[k] + noisy_cov[k].T)
-                eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
-                eigenvalues = np.maximum(eigenvalues, self.reg_covar)
-                projected[k] = (eigenvectors * eigenvalues) @ eigenvectors.T
-            self.covariances_ = projected
+        self.covariances_ = np.maximum(noisy_cov, self.reg_covar)

@@ -1,9 +1,10 @@
 """Gaussian mixture models fitted with expectation-maximisation.
 
 The mixture of Gaussians is the latent prior ``r_lambda(z)`` of P3GM's
-Encoding Phase.  The implementation supports diagonal and full covariance,
-responsibility-based E steps, log-density evaluation, and ancestral sampling
-(used by the data-synthesis procedure: draw ``z ~ MoG(lambda)``, then decode).
+Encoding Phase.  Covariances are diagonal, so the decoding-phase KL term has
+a cheap closed form.  The implementation provides responsibility-based E
+steps, log-density evaluation, and ancestral sampling (used by the
+data-synthesis procedure: draw ``z ~ MoG(lambda)``, then decode).
 
 The differentially private estimator (DP-EM, Park et al.) extends the M step
 with Gaussian noise; see :mod:`repro.mixture.dp_em`.
@@ -32,9 +33,6 @@ class GaussianMixture:
     n_components:
         Number of mixture components ``K`` (the paper's ``d_m``; 3 in the
         experiments).
-    covariance_type:
-        ``"diag"`` (default, used by P3GM so the decoder-phase KL term has a
-        cheap closed form) or ``"full"``.
     n_iter:
         Number of EM iterations (``T_e``).
     reg_covar:
@@ -44,25 +42,22 @@ class GaussianMixture:
     def __init__(
         self,
         n_components: int = 3,
-        covariance_type: str = "diag",
         n_iter: int = 50,
         reg_covar: float = 1e-6,
         random_state=None,
     ):
         if n_components < 1:
             raise ValueError("n_components must be >= 1")
-        if covariance_type not in ("diag", "full"):
-            raise ValueError("covariance_type must be 'diag' or 'full'")
         if n_iter < 1:
             raise ValueError("n_iter must be >= 1")
         self.n_components = n_components
-        self.covariance_type = covariance_type
         self.n_iter = n_iter
         self.reg_covar = reg_covar
         self._rng = as_generator(random_state)
 
         self.weights_: Optional[np.ndarray] = None
         self.means_: Optional[np.ndarray] = None
+        #: Per-component diagonal variances, shape ``(n_components, n_features)``.
         self.covariances_: Optional[np.ndarray] = None
         self.log_likelihood_history_: list[float] = []
 
@@ -74,10 +69,7 @@ class GaussianMixture:
         self.means_ = X[indices].copy()
         self.weights_ = np.full(self.n_components, 1.0 / self.n_components)
         global_var = X.var(axis=0) + self.reg_covar
-        if self.covariance_type == "diag":
-            self.covariances_ = np.tile(global_var, (self.n_components, 1))
-        else:
-            self.covariances_ = np.tile(np.diag(global_var), (self.n_components, 1, 1))
+        self.covariances_ = np.tile(global_var, (self.n_components, 1))
 
     # -- densities --------------------------------------------------------------------
 
@@ -87,18 +79,9 @@ class GaussianMixture:
         log_prob = np.empty((n_samples, self.n_components))
         for k in range(self.n_components):
             diff = X - self.means_[k]
-            if self.covariance_type == "diag":
-                var = self.covariances_[k]
-                log_det = np.sum(np.log(var))
-                maha = np.sum(diff**2 / var, axis=1)
-            else:
-                cov = self.covariances_[k]
-                sign, log_det = np.linalg.slogdet(cov)
-                if sign <= 0:
-                    cov = cov + np.eye(n_features) * self.reg_covar
-                    sign, log_det = np.linalg.slogdet(cov)
-                solved = np.linalg.solve(cov, diff.T).T
-                maha = np.sum(diff * solved, axis=1)
+            var = self.covariances_[k]
+            log_det = np.sum(np.log(var))
+            maha = np.sum(diff**2 / var, axis=1)
             log_prob[:, k] = -0.5 * (n_features * _LOG_2PI + log_det + maha)
         return log_prob
 
@@ -148,21 +131,11 @@ class GaussianMixture:
         counts = responsibilities.sum(axis=0) + 1e-12
         self.weights_ = counts / counts.sum()
         self.means_ = (responsibilities.T @ X) / counts[:, None]
-        if self.covariance_type == "diag":
-            covariances = np.empty_like(self.means_)
-            for k in range(self.n_components):
-                diff = X - self.means_[k]
-                covariances[k] = (responsibilities[:, k] @ diff**2) / counts[k]
-            self.covariances_ = covariances + self.reg_covar
-        else:
-            n_features = X.shape[1]
-            covariances = np.empty((self.n_components, n_features, n_features))
-            for k in range(self.n_components):
-                diff = X - self.means_[k]
-                weighted = responsibilities[:, k][:, None] * diff
-                covariances[k] = weighted.T @ diff / counts[k]
-                covariances[k] += np.eye(n_features) * self.reg_covar
-            self.covariances_ = covariances
+        covariances = np.empty_like(self.means_)
+        for k in range(self.n_components):
+            diff = X - self.means_[k]
+            covariances[k] = (responsibilities[:, k] @ diff**2) / counts[k]
+        self.covariances_ = covariances + self.reg_covar
 
     # -- sampling -----------------------------------------------------------------------------
 
@@ -180,23 +153,11 @@ class GaussianMixture:
             count = int(mask.sum())
             if count == 0:
                 continue
-            if self.covariance_type == "diag":
-                std = np.sqrt(self.covariances_[k])
-                samples[mask] = self.means_[k] + rng.normal(size=(count, n_features)) * std
-            else:
-                samples[mask] = rng.multivariate_normal(
-                    self.means_[k], self.covariances_[k], size=count
-                )
+            std = np.sqrt(self.covariances_[k])
+            samples[mask] = self.means_[k] + rng.normal(size=(count, n_features)) * std
         return samples, labels
 
     # -- parameter access ------------------------------------------------------------------------
-
-    def diagonal_covariances(self) -> np.ndarray:
-        """Return per-component diagonal variances regardless of covariance type."""
-        self._check_fitted()
-        if self.covariance_type == "diag":
-            return self.covariances_.copy()
-        return np.array([np.diag(c) for c in self.covariances_])
 
     def set_parameters(self, weights, means, covariances) -> "GaussianMixture":
         """Directly set mixture parameters (used by DP-EM and deserialisation)."""
@@ -207,10 +168,14 @@ class GaussianMixture:
             raise ValueError("weights have the wrong shape")
         if means.shape[0] != self.n_components:
             raise ValueError("means have the wrong shape")
-        if covariances.shape[0] != self.n_components:
-            raise ValueError("covariances have the wrong shape")
-        if not np.isclose(weights.sum(), 1.0):
-            raise ValueError("weights must sum to 1")
+        if covariances.shape != means.shape:
+            raise ValueError(
+                f"covariances have shape {covariances.shape}; the means' is {means.shape}"
+            )
+        if not (np.isfinite(covariances).all() and (covariances > 0).all()):
+            raise ValueError("variances must be finite and positive")
+        if (weights < 0).any() or not np.isclose(weights.sum(), 1.0):
+            raise ValueError("weights must be non-negative and sum to 1")
         self.weights_ = weights
         self.means_ = means
         self.covariances_ = covariances

@@ -18,7 +18,7 @@ from repro.ml.metrics import (
     roc_curve,
 )
 from repro.ml.mlp import MLPClassifier
-from repro.ml.preprocessing import MinMaxScaler, StandardScaler, train_test_split
+from repro.ml.preprocessing import MinMaxScaler, train_test_split
 from repro.ml.tree import DecisionTreeRegressor
 from repro.ml.xgb import XGBClassifier
 
@@ -36,6 +36,5 @@ __all__ = [
     "roc_curve",
     "f1_score",
     "MinMaxScaler",
-    "StandardScaler",
     "train_test_split",
 ]

@@ -1,10 +1,10 @@
 """Preprocessing utilities used by the evaluation pipeline.
 
 The generative models expect features in ``[0, 1]`` (Bernoulli decoders).
-The scalers here are thin aliases of the shared numeric column transforms in
+The scaler here is a thin alias of the shared numeric column transform in
 :mod:`repro.transforms` — one implementation of the arithmetic serves the
 datasets, the evaluation pipeline, and mixed-type table preprocessing — kept
-under their historical names for the sklearn-style API.  Both raise the same
+under its historical name for the sklearn-style API.  It raises the same
 not-fitted ``RuntimeError`` from ``transform`` *and* ``inverse_transform``.
 """
 
@@ -12,18 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.transforms.column import MinMaxNumeric, StandardNumeric
+from repro.transforms.column import MinMaxNumeric
 from repro.utils.rng import as_generator
 
-__all__ = ["MinMaxScaler", "StandardScaler", "train_test_split"]
+__all__ = ["MinMaxScaler", "train_test_split"]
 
 
 class MinMaxScaler(MinMaxNumeric):
     """Scale features to ``[0, 1]`` column-wise (constant columns map to 0)."""
-
-
-class StandardScaler(StandardNumeric):
-    """Zero-mean unit-variance scaling (constant columns keep variance 1)."""
 
 
 def train_test_split(X, y, test_size: float = 0.1, stratify: bool = True, random_state=None):

@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn import Tensor, no_grad
 from repro.nn import inference
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_array, check_n_samples
@@ -36,27 +35,18 @@ __all__ = [
 
 
 def decode_rows(decoder, latent: np.ndarray, decoder_type: str) -> np.ndarray:
-    """Run a fitted decoder over latent rows on the fastest available path.
+    """Run a fitted decoder over latent rows through its compiled plan.
 
-    The fused tape-free plan (:mod:`repro.nn.inference`) is used when enabled
-    and the decoder compiles — cached per decoder instance, so every
-    ``load_state_dict`` (which rebuilds the networks) invalidates it — with
-    the Bernoulli output clip folded into the same pass.  Otherwise the
-    original autograd forward runs under ``no_grad``, clipping **in place**
-    on the tape output (it is a fresh array the caller owns) instead of
-    paying one more full-size copy.  Both paths return bit-identical rows.
+    The fused tape-free plan (:mod:`repro.nn.inference`) is cached per
+    decoder instance, so every ``load_state_dict`` (which rebuilds the
+    networks) invalidates it, and it folds the Bernoulli output clip into the
+    same pass.  Its rows are bit-identical to the autograd forward's; a
+    decoder that does not compile raises :class:`repro.nn.CompileError`.
     """
-    if inference.fused_enabled():
-        plan = inference.compiled_plan(
-            decoder, epilogue="clip01" if decoder_type == "bernoulli" else None
-        )
-        if plan is not None:
-            return plan(latent)
-    with no_grad():
-        decoded = decoder(Tensor(latent)).data
-    if decoder_type == "bernoulli":
-        np.clip(decoded, 0.0, 1.0, out=decoded)
-    return decoded
+    plan = inference.compiled_plan(
+        decoder, epilogue="clip01" if decoder_type == "bernoulli" else None
+    )
+    return plan(latent)
 
 
 def label_quotas(ratio, n_samples: int, class_counts=None) -> np.ndarray:
@@ -252,14 +242,6 @@ class LabelEncodingMixin:
         data[np.arange(len(X))[:, None], self._label_columns()[indices]] = 1.0
         return data
 
-    def _split_labels(self, rows: np.ndarray):
-        """Split generated rows back into ``(features, labels)``."""
-        if self._n_classes == 0:
-            return rows, None
-        features = rows[:, : -self._label_block_width()]
-        labels = self._classes[np.argmax(self._label_scores(rows), axis=1)]
-        return features, labels
-
     @property
     def n_feature_columns(self) -> int:
         """Number of raw feature columns (excluding the label block)."""
@@ -296,17 +278,16 @@ class LabelEncodingMixin:
     def sample_labeled(
         self,
         n_samples: int,
-        match_ratio: bool = True,
         rng=None,
         generation_rng=None,
         class_counts=None,
     ):
-        """Sample labelled synthetic data.
+        """Sample labelled synthetic data at the training label ratio.
 
-        When ``match_ratio`` is true (the paper's protocol) the output label
-        distribution matches the training label ratio: samples are drawn in
-        excess and assigned to per-class quotas by their one-hot activation,
-        which also guards against mode-collapse starving a class entirely.
+        The output label distribution matches the training label ratio (the
+        paper's protocol): samples are drawn in excess and assigned to
+        per-class quotas by their one-hot activation, which also guards
+        against mode-collapse starving a class entirely.
         ``class_counts`` overrides the ratio-derived quotas with explicit
         per-class counts (in ``classes_`` order, summing to ``n_samples``) —
         the streaming service uses this to keep rare classes represented
@@ -322,10 +303,6 @@ class LabelEncodingMixin:
             raise RuntimeError("model was fitted without labels; use sample() instead")
         rng = as_generator(rng)
         generation_rng = None if generation_rng is None else as_generator(generation_rng)
-
-        if not match_ratio:
-            rows = self.sample(n_samples, rng=generation_rng)
-            return self._split_labels(rows)
 
         quotas = label_quotas(self._label_ratio, n_samples, class_counts)
 

@@ -176,7 +176,6 @@ class P3GM(DPSGDMixin, PGM):
             n_components=self.n_mixture_components,
             sigma=self.sigma_em_,
             clip_norm=self.clip_norm,
-            covariance_type="diag",
             n_iter=self.em_iterations,
             random_state=self._rng,
         )

@@ -116,7 +116,6 @@ class PGM(DecoderModel):
     def _build_prior(self) -> GaussianMixture:
         return GaussianMixture(
             n_components=self.n_mixture_components,
-            covariance_type="diag",
             n_iter=self.em_iterations,
             random_state=self._rng,
         )
@@ -206,7 +205,7 @@ class PGM(DecoderModel):
                 log_var,
                 self.prior.weights_,
                 self.prior.means_,
-                self.prior.diagonal_covariances(),
+                self.prior.covariances_,
             )
         decoded = self.decoder(z)
         reconstruction = self._reconstruction_term(decoded, batch)

@@ -285,7 +285,6 @@ class PrivBayes(GenerativeModel):
     def sample_labeled(
         self,
         n_samples: int,
-        match_ratio: bool = True,
         rng=None,
         generation_rng=None,
         class_counts=None,
@@ -306,10 +305,6 @@ class PrivBayes(GenerativeModel):
         generated_labels = np.clip(
             np.round(rows[:, -1]).astype(int), 0, len(self._classes) - 1
         )
-
-        if not match_ratio:
-            chosen = rng.choice(len(features), size=n_samples, replace=False)
-            return features[chosen], self._classes[generated_labels[chosen]]
 
         quotas = label_quotas(self._label_ratio, n_samples, class_counts)
         selected, labels_out = [], []

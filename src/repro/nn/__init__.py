@@ -24,16 +24,12 @@ from repro.nn.layers import (
     ReLU,
     Sequential,
     Sigmoid,
-    Softplus,
-    Tanh,
 )
 from repro.nn.inference import (
     CompiledForward,
     CompileError,
     compile_inference,
     compiled_plan,
-    fused_enabled,
-    fused_inference,
 )
 from repro.nn.optim import SGD, Adam, Optimizer
 
@@ -44,8 +40,6 @@ __all__ = [
     "CompiledForward",
     "compile_inference",
     "compiled_plan",
-    "fused_enabled",
-    "fused_inference",
     "no_grad",
     "grad_sample_mode",
     "is_grad_enabled",
@@ -56,8 +50,6 @@ __all__ = [
     "Linear",
     "ReLU",
     "Sigmoid",
-    "Tanh",
-    "Softplus",
     "Dropout",
     "Sequential",
     "MLP",

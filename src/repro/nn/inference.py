@@ -13,8 +13,6 @@ clip).  :func:`compile_inference` walks a fitted :class:`~repro.nn.layers.MLP`
   a width), with the bias added in place;
 - activations applied **in place** on the affine output (sigmoid as the
   exact clip/negate/exp/add/divide chain of the tape op);
-- ``Dropout`` skipped (eval semantics — a *training-mode* dropout with
-  ``p > 0`` refuses to compile instead of silently changing semantics);
 - fused epilogues: the Bernoulli ``clip(0, 1)`` runs in place on the output
   buffer instead of producing one more full-size copy, and
   :func:`label_scores` folds the replicated one-hot label block without
@@ -39,31 +37,23 @@ chunks in lists; handing out a shared buffer would alias them), while every
 intermediate buffer is cached per batch size in thread-local storage — the
 chunked streaming path reuses one buffer set across all of a request's
 chunks, and concurrent HTTP threads never share a buffer.
-
-``REPRO_FUSED_INFERENCE=0`` (or the :func:`fused_inference` context manager)
-disables the fast path process-wide (or per thread), forcing callers back
-onto the tape — how the contract tests obtain the reference bytes.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import threading
 import weakref
 from typing import Optional
 
 import numpy as np
 
-from repro.nn.layers import Dropout, Linear, MLP, ReLU, Sequential, Sigmoid, Softplus, Tanh
+from repro.nn.layers import Linear, MLP, ReLU, Sequential, Sigmoid
 
 __all__ = [
     "CompileError",
     "CompiledForward",
     "compile_inference",
     "compiled_plan",
-    "fused_enabled",
-    "fused_inference",
     "inference_metrics",
     "label_scores",
 ]
@@ -76,36 +66,6 @@ MAX_CACHED_BATCH_SIZES = 8
 
 class CompileError(ValueError):
     """The module contains an op the fused path cannot reproduce exactly."""
-
-
-# ---------------------------------------------------------------------------
-# Enable/disable switch
-# ---------------------------------------------------------------------------
-
-_FUSED = threading.local()
-
-
-def fused_enabled() -> bool:
-    """Whether the fused inference fast path is active (in this thread)."""
-    override = getattr(_FUSED, "enabled", None)
-    if override is not None:
-        return override
-    return os.environ.get("REPRO_FUSED_INFERENCE", "1") != "0"
-
-
-@contextlib.contextmanager
-def fused_inference(enabled: bool = True):
-    """Force the fused fast path on or off within this thread.
-
-    ``fused_inference(False)`` is how the contract suite draws tape-path
-    reference bytes to compare the fused output against.
-    """
-    previous = getattr(_FUSED, "enabled", None)
-    _FUSED.enabled = bool(enabled)
-    try:
-        yield
-    finally:
-        _FUSED.enabled = previous
 
 
 # ---------------------------------------------------------------------------
@@ -173,22 +133,7 @@ def _sigmoid_(buf: np.ndarray) -> None:
     np.divide(1.0, buf, out=buf)
 
 
-def _tanh_(buf: np.ndarray) -> None:
-    np.tanh(buf, out=buf)
-
-
-def _softplus_(buf: np.ndarray) -> None:
-    # Tape op: maximum(x, 0) + log1p(exp(-|x|)); one scratch for the second
-    # term because both terms read the original input.
-    scratch = np.abs(buf)
-    np.negative(scratch, out=scratch)
-    np.exp(scratch, out=scratch)
-    np.log1p(scratch, out=scratch)
-    np.maximum(buf, 0.0, out=buf)
-    np.add(buf, scratch, out=buf)
-
-
-_ACTIVATIONS = {ReLU: _relu_, Sigmoid: _sigmoid_, Tanh: _tanh_, Softplus: _softplus_}
+_ACTIVATIONS = {ReLU: _relu_, Sigmoid: _sigmoid_}
 
 _EPILOGUES = ("clip01",)
 
@@ -206,17 +151,8 @@ def _walk(module) -> list:
         ops.append(_Affine(module))
     elif type(module) in _ACTIVATIONS:
         ops.append(_ACTIVATIONS[type(module)])
-    elif isinstance(module, Dropout):
-        if module.training and module.p > 0.0:
-            raise CompileError(
-                "training-mode Dropout(p > 0) is stochastic; the fused path "
-                "is inference-only"
-            )
-        # eval (or p == 0) dropout is the identity: skip it entirely.
     else:
-        raise CompileError(
-            f"cannot fuse {type(module).__name__}; falling back to the tape"
-        )
+        raise CompileError(f"cannot fuse {type(module).__name__}")
     return ops
 
 
@@ -281,8 +217,6 @@ class CompiledForward:
                     h = h.copy()
                     owned = True
                 op(h)
-        if not owned:
-            h = h.copy()  # identity module: never hand back the caller's array
         if self._epilogue == "clip01":
             np.clip(h, 0.0, 1.0, out=h)
         calls, rows = inference_metrics()
@@ -295,9 +229,8 @@ def compile_inference(module, epilogue: Optional[str] = None) -> CompiledForward
     """Compile a fitted module into a fused tape-free forward.
 
     Raises :class:`CompileError` when the module holds an op the fused path
-    cannot replicate bit-for-bit (callers fall back to the tape).
-    ``epilogue="clip01"`` folds the Bernoulli-decoder output clip into the
-    same pass.
+    cannot replicate bit-for-bit.  ``epilogue="clip01"`` folds the
+    Bernoulli-decoder output clip into the same pass.
     """
     return CompiledForward(_walk(module), epilogue=epilogue)
 
@@ -310,25 +243,21 @@ def compile_inference(module, epilogue: Optional[str] = None) -> CompiledForward
 _plan_lock = threading.Lock()
 _plans: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
-#: Sentinel for "tried and failed to compile" so unfusable modules are not
-#: re-walked on every sample call.
-_UNFUSABLE = object()
 
+def compiled_plan(module, epilogue: Optional[str] = None) -> CompiledForward:
+    """The cached compiled forward for ``module``.
 
-def compiled_plan(module, epilogue: Optional[str] = None) -> Optional[CompiledForward]:
-    """The cached compiled forward for ``module`` (``None`` if unfusable)."""
+    Raises :class:`CompileError` (and caches nothing) when the module does
+    not compile.
+    """
     with _plan_lock:
         per_module = _plans.get(module)
         if per_module is None:
             per_module = _plans[module] = {}
         plan = per_module.get(epilogue)
         if plan is None:
-            try:
-                plan = compile_inference(module, epilogue=epilogue)
-            except CompileError:
-                plan = _UNFUSABLE
-            per_module[epilogue] = plan
-    return None if plan is _UNFUSABLE else plan
+            plan = per_module[epilogue] = compile_inference(module, epilogue=epilogue)
+    return plan
 
 
 # ---------------------------------------------------------------------------

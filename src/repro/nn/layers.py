@@ -23,8 +23,6 @@ __all__ = [
     "Linear",
     "ReLU",
     "Sigmoid",
-    "Tanh",
-    "Softplus",
     "Dropout",
     "Sequential",
     "MLP",
@@ -152,16 +150,6 @@ class Sigmoid(Module):
         return x.sigmoid()
 
 
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Softplus(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.softplus()
-
-
 class Dropout(Module):
     """Inverted dropout; identity in eval mode."""
 
@@ -252,10 +240,6 @@ class MLP(Module):
                     layers.append(Dropout(dropout, rng=rng))
         if output_activation == "sigmoid":
             layers.append(Sigmoid())
-        elif output_activation == "tanh":
-            layers.append(Tanh())
-        elif output_activation == "softplus":
-            layers.append(Softplus())
         elif output_activation is not None:
             raise ValueError(f"unknown output activation {output_activation!r}")
         self.net = Sequential(*layers)

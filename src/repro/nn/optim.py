@@ -43,8 +43,8 @@ class Optimizer:
     def state_dict(self) -> dict:
         """The optimizer's mutable buffers as plain numpy arrays.
 
-        Stateless optimizers return ``{}``; subclasses with momentum-style
-        buffers override this (and :meth:`load_state_dict`) so a training
+        Stateless optimizers return ``{}``; subclasses with moment buffers
+        override this (and :meth:`load_state_dict`) so a training
         checkpoint can resume bit-identically.
         """
         return {}
@@ -70,44 +70,19 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
+    """Plain stochastic gradient descent."""
 
-    def __init__(self, params, lr: float = 0.01, momentum: float = 0.0, weight_decay: float = 0.0):
+    def __init__(self, params, lr: float = 0.01):
         super().__init__(params)
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        for i, p in enumerate(self.params):
+        for p in self.params:
             if p.grad is None:
                 continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                self._velocity[i] = self.momentum * self._velocity[i] + grad
-                grad = self._velocity[i]
-            p.data = p.data - self.lr * grad
-
-    def state_dict(self) -> dict:
-        return {f"velocity.{i}": v.copy() for i, v in enumerate(self._velocity)}
-
-    def load_state_dict(self, state: dict) -> "SGD":
-        expected = {f"velocity.{i}" for i in range(len(self.params))}
-        if set(state) != expected:
-            raise ValueError(
-                f"SGD state mismatch: checkpoint has {sorted(state)}, "
-                f"this optimizer expects {sorted(expected)}"
-            )
-        self._velocity = [
-            self._check_buffer(f"velocity.{i}", state[f"velocity.{i}"], i)
-            for i in range(len(self.params))
-        ]
-        return self
+            p.data = p.data - self.lr * p.grad
 
 
 class Adam(Optimizer):
@@ -119,7 +94,6 @@ class Adam(Optimizer):
         lr: float = 0.001,
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ):
         super().__init__(params)
         if lr <= 0:
@@ -127,7 +101,6 @@ class Adam(Optimizer):
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
@@ -138,8 +111,6 @@ class Adam(Optimizer):
             if p.grad is None:
                 continue
             grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
             self._m[i] = self.beta1 * self._m[i] + (1 - self.beta1) * grad
             self._v[i] = self.beta2 * self._v[i] + (1 - self.beta2) * grad**2
             m_hat = self._m[i] / (1 - self.beta1**self._t)

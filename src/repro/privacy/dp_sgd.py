@@ -5,7 +5,7 @@ The optimizer consumes the per-example gradients captured by
 norm ``max_grad_norm`` (the paper's ``psi_C``), sums the clipped gradients,
 adds Gaussian noise ``N(0, sigma^2 C^2 I)`` and averages over the (expected)
 batch size, then delegates the descent step to a wrapped base optimizer
-(plain SGD or Adam).
+(the models wrap Adam).
 
 A :class:`DPSGD` instance also tracks the number of noisy steps it has taken so
 callers can query the privacy spent through the Theorem-4 accountant with
@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.optim import Optimizer, SGD
+from repro.nn.optim import Optimizer
 from repro.privacy.accounting.p3gm_accountant import P3GMAccountant
 from repro.privacy.clipping import per_example_scale_factors
 from repro.utils.rng import as_generator, dump_generator_state, restore_generator_state
@@ -46,8 +46,8 @@ class DPSGD:
         Probability that any given record participates in a batch (``B/N``);
         used only for privacy accounting.
     base_optimizer:
-        Optional :class:`repro.nn.Optimizer` taking the final step; defaults to
-        plain SGD with learning rate ``lr``.
+        The :class:`repro.nn.Optimizer` over the same parameters that takes
+        the final step.
     """
 
     def __init__(
@@ -57,8 +57,8 @@ class DPSGD:
         max_grad_norm: float,
         expected_batch_size: int,
         sample_rate: Optional[float] = None,
-        base_optimizer: Optional[Optimizer] = None,
-        lr: float = 0.001,
+        *,
+        base_optimizer: Optimizer,
         rng=None,
     ):
         self.params = list(params)
@@ -73,7 +73,7 @@ class DPSGD:
         self.max_grad_norm = max_grad_norm
         self.expected_batch_size = int(expected_batch_size)
         self.sample_rate = sample_rate
-        self.base_optimizer = base_optimizer or SGD(self.params, lr=lr)
+        self.base_optimizer = base_optimizer
         self._rng = as_generator(rng)
         self.steps_taken = 0
         #: Diagnostics of the most recent step (read by

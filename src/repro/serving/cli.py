@@ -235,6 +235,29 @@ def _model_kwargs(args: argparse.Namespace, cls: type) -> dict:
 CSV_HOLDOUT_TEST_SIZE = 0.1
 
 
+def _split_labelled_csv(path, label, holdout: dict) -> tuple:
+    """Read a labelled CSV and split off its holdout fold.
+
+    Pulls ``label`` out of the table and splits the remaining columns with
+    the ``holdout`` record's ``test_size``, ``stratify`` and ``seed``.
+    Returns ``(feature_names, X_train, X_test, y_train, y_test)``.
+    """
+    from repro.ml.preprocessing import train_test_split
+    from repro.transforms.column import as_typed_values
+
+    names, rows = read_csv(path)
+    if label not in names:
+        raise ValueError(f"label column {label!r} is not in {path} (columns: {names})")
+    index = names.index(label)
+    labels = as_typed_values(rows[:, index])
+    keep = [i for i in range(rows.shape[1]) if i != index]
+    X_train, X_test, y_train, y_test = train_test_split(
+        rows[:, keep], labels, test_size=holdout["test_size"],
+        stratify=holdout["stratify"], random_state=holdout["seed"],
+    )
+    return [names[i] for i in keep], X_train, X_test, y_train, y_test
+
+
 def _load_csv_training_table(args: argparse.Namespace):
     """The ``--data table.csv`` path: returns ``(X, labels, transformer, metadata)``.
 
@@ -248,33 +271,21 @@ def _load_csv_training_table(args: argparse.Namespace):
     reconstructs the same held-out fold instead of re-splitting the full CSV
     (which would score the model on rows it trained on).
     """
-    from repro.ml.preprocessing import train_test_split
-    from repro.transforms.column import as_typed_values
-
-    names, rows = read_csv(args.data)
-    total_rows = len(rows)
     labels = None
     holdout = None
-    if args.label is not None:
-        if args.label not in names:
-            raise ValueError(
-                f"label column {args.label!r} is not in {args.data} "
-                f"(columns: {names})"
-            )
-        index = names.index(args.label)
-        labels = as_typed_values(rows[:, index])
-        keep = [i for i in range(rows.shape[1]) if i != index]
-        rows = rows[:, keep]
-        names = [name for i, name in enumerate(names) if i != index]
+    if args.label is None:
+        names, rows = read_csv(args.data)
+        total_rows = len(rows)
+    else:
         holdout = {
             "test_size": CSV_HOLDOUT_TEST_SIZE,
             "stratify": True,
             "seed": args.seed,
         }
-        rows, _, labels, _ = train_test_split(
-            rows, labels, test_size=holdout["test_size"],
-            stratify=holdout["stratify"], random_state=holdout["seed"],
+        names, rows, held_out, labels, _ = _split_labelled_csv(
+            args.data, args.label, holdout
         )
+        total_rows = len(rows) + len(held_out)
     schema = None
     if args.schema is not None:
         schema = TableSchema.from_json(args.schema)
@@ -437,27 +448,14 @@ def _dataset_from_csv(path, label, seed, holdout=None):
     fresh 90/10 split keyed on ``seed``.
     """
     from repro.datasets import Dataset
-    from repro.ml.preprocessing import train_test_split
-    from repro.transforms.column import as_typed_values
 
-    names, rows = read_csv(path)
     if label is None:
         raise ValueError(
             "evaluating a CSV-trained artifact needs its label column; pass --label"
         )
-    if label not in names:
-        raise ValueError(f"label column {label!r} is not in {path} (columns: {names})")
-    index = names.index(label)
-    labels = as_typed_values(rows[:, index])
-    keep = [i for i in range(rows.shape[1]) if i != index]
-    test_size, stratify = CSV_HOLDOUT_TEST_SIZE, True
-    if holdout is not None:
-        test_size = holdout.get("test_size", test_size)
-        stratify = holdout.get("stratify", stratify)
-        seed = holdout.get("seed", seed)
-    X_train, X_test, y_train, y_test = train_test_split(
-        rows[:, keep], labels, test_size=test_size, stratify=stratify, random_state=seed
-    )
+    split = {"test_size": CSV_HOLDOUT_TEST_SIZE, "stratify": True, "seed": seed}
+    split.update(holdout or {})
+    _, X_train, X_test, y_train, y_test = _split_labelled_csv(path, label, split)
     return Dataset(
         name=Path(path).name,
         X_train=X_train,

@@ -6,7 +6,7 @@ declares what each column *is* (numeric / categorical / ordinal / binary), a
 ``[0, 1]`` matrices the synthesizers consume and inverts model output back to
 original-space rows with real category labels, and the per-column transforms
 (:class:`MinMaxNumeric`, :class:`OneHotCategorical`, …) are the shared
-building blocks every other layer reuses — the ``repro.ml`` scalers, the
+building blocks every other layer reuses — the ``repro.ml`` scaler, the
 models' label one-hot encoding, PrivBayes' discretisation, and the serving
 artifacts that persist the fitted pipeline alongside the model weights.
 """
@@ -17,8 +17,6 @@ from repro.transforms.column import (
     MinMaxNumeric,
     OneHotCategorical,
     OrdinalCategorical,
-    StandardNumeric,
-    column_transform_from_config,
     fit_discrete_column,
 )
 from repro.transforms.io import format_table, read_csv, write_csv
@@ -31,11 +29,9 @@ __all__ = [
     "TableSchema",
     "ColumnTransform",
     "MinMaxNumeric",
-    "StandardNumeric",
     "OneHotCategorical",
     "OrdinalCategorical",
     "EqualWidthDiscretizer",
-    "column_transform_from_config",
     "fit_discrete_column",
     "TableTransformer",
     "read_csv",

@@ -2,23 +2,21 @@
 
 Two families live here:
 
-- **Numeric transforms** (:class:`MinMaxNumeric`, :class:`StandardNumeric`)
-  operate on 2-D float arrays column-wise.  They double as the public
-  ``repro.ml.preprocessing`` scalers (which are thin aliases), so their
-  arithmetic is the single source of truth for "features in ``[0, 1]``"
-  everywhere in the codebase.
+- **The numeric transform** (:class:`MinMaxNumeric`) operates on 2-D float
+  arrays column-wise.  It doubles as the public
+  ``repro.ml.preprocessing.MinMaxScaler`` (a thin alias), so its arithmetic
+  is the single source of truth for "features in ``[0, 1]``" everywhere in
+  the codebase.
 - **Categorical transforms** (:class:`OneHotCategorical`,
   :class:`OrdinalCategorical`, :class:`EqualWidthDiscretizer`) operate on one
   column of values (strings or numbers) and expose the lower-level
   ``encode``/``decode`` integer-code interface that the discrete synthesizers
   (PrivBayes) consume directly.
 
-Every transform is serialisable: ``get_config()`` returns JSON-safe
-constructor arguments, ``state_dict()`` the fitted state as plain numpy
-arrays (unicode arrays for string categories — never object arrays, so
-artifacts load with ``allow_pickle=False``), and
-:func:`column_transform_from_config` rebuilds an unfitted twin by name.
-All operations are vectorised; there are no Python-level per-row loops.
+Every transform is serialisable: ``state_dict()`` returns the fitted state
+as plain numpy arrays (unicode arrays for string categories — never object
+arrays, so artifacts load with ``allow_pickle=False``).  All operations are
+vectorised; there are no Python-level per-row loops.
 """
 
 from __future__ import annotations
@@ -32,11 +30,9 @@ from repro.utils.validation import check_array, check_positive
 __all__ = [
     "ColumnTransform",
     "MinMaxNumeric",
-    "StandardNumeric",
     "OneHotCategorical",
     "OrdinalCategorical",
     "EqualWidthDiscretizer",
-    "column_transform_from_config",
     "fit_discrete_column",
 ]
 
@@ -62,9 +58,6 @@ def as_typed_values(values) -> np.ndarray:
 class ColumnTransform:
     """Shared protocol: fit / transform / inverse_transform / persistence."""
 
-    #: Registry key used by ``get_config`` / :func:`column_transform_from_config`.
-    transform_name: str = ""
-
     def fit(self, values) -> "ColumnTransform":
         raise NotImplementedError
 
@@ -85,9 +78,6 @@ class ColumnTransform:
         raise NotImplementedError
 
     # -- persistence ----------------------------------------------------------------
-
-    def get_config(self) -> dict:
-        return {"transform": self.transform_name}
 
     def state_dict(self) -> dict:
         raise NotImplementedError
@@ -111,8 +101,6 @@ class MinMaxNumeric(ColumnTransform):
     :class:`~repro.transforms.table.TableTransformer` (width-1 blocks) and as
     the whole-matrix ``repro.ml.preprocessing.MinMaxScaler``.
     """
-
-    transform_name = "minmax"
 
     def __init__(self):
         self.data_min_: Optional[np.ndarray] = None
@@ -158,51 +146,6 @@ class MinMaxNumeric(ColumnTransform):
             raise RuntimeError(f"{type(self).__name__} is not fitted yet")
 
 
-class StandardNumeric(ColumnTransform):
-    """Zero-mean unit-variance scaling (constant columns keep variance 1)."""
-
-    transform_name = "standard"
-
-    def __init__(self):
-        self.mean_: Optional[np.ndarray] = None
-        self.scale_: Optional[np.ndarray] = None
-
-    def fit(self, X) -> "StandardNumeric":
-        X = check_array(X, "X")
-        self.mean_ = X.mean(axis=0)
-        std = X.std(axis=0)
-        self.scale_ = np.where(std > 1e-12, std, 1.0)
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        self._check_fitted()
-        X = check_array(X, "X")
-        return (X - self.mean_) / self.scale_
-
-    def inverse_transform(self, X) -> np.ndarray:
-        self._check_fitted()
-        X = check_array(X, "X")
-        return X * self.scale_ + self.mean_
-
-    @property
-    def output_width(self) -> int:
-        self._check_fitted()
-        return len(np.atleast_1d(self.mean_))
-
-    def state_dict(self) -> dict:
-        self._check_fitted()
-        return {"mean": np.asarray(self.mean_), "scale": np.asarray(self.scale_)}
-
-    def load_state_dict(self, state: dict) -> "StandardNumeric":
-        self.mean_ = np.asarray(state["mean"], dtype=np.float64)
-        self.scale_ = np.asarray(state["scale"], dtype=np.float64)
-        return self
-
-    def _check_fitted(self) -> None:
-        if self.mean_ is None:
-            raise RuntimeError(f"{type(self).__name__} is not fitted yet")
-
-
 # ----------------------------------------------------------------------------------
 # Categorical transforms
 # ----------------------------------------------------------------------------------
@@ -215,7 +158,6 @@ class _CategoryCodec:
         self.categories_: Optional[np.ndarray] = (
             None if categories is None else as_typed_values(list(categories))
         )
-        self._declared = categories is not None
 
     @property
     def n_levels(self) -> int:
@@ -301,8 +243,6 @@ class OneHotCategorical(_CategoryCodec, ColumnTransform):
     the models' label attachment (Section IV-E one-hot labels).
     """
 
-    transform_name = "onehot"
-
     def __init__(self, categories=None):
         super().__init__(categories)
 
@@ -328,12 +268,6 @@ class OneHotCategorical(_CategoryCodec, ColumnTransform):
     def output_width(self) -> int:
         return self.n_levels
 
-    def get_config(self) -> dict:
-        config = super().get_config()
-        if self._declared:
-            config["categories"] = np.asarray(self.categories_).tolist()
-        return config
-
     def state_dict(self) -> dict:
         return self._category_state()
 
@@ -349,8 +283,6 @@ class OrdinalCategorical(_CategoryCodec, ColumnTransform):
     order when learned from data).  The inverse rounds to the nearest level,
     so it is exact on transformed values and robust to decoder noise.
     """
-
-    transform_name = "ordinal"
 
     def __init__(self, categories=None):
         super().__init__(categories)
@@ -376,12 +308,6 @@ class OrdinalCategorical(_CategoryCodec, ColumnTransform):
     def output_width(self) -> int:
         return 1
 
-    def get_config(self) -> dict:
-        config = super().get_config()
-        if self._declared:
-            config["categories"] = np.asarray(self.categories_).tolist()
-        return config
-
     def state_dict(self) -> dict:
         return self._category_state()
 
@@ -400,8 +326,6 @@ class EqualWidthDiscretizer(ColumnTransform):
     or a uniform draw within the bin when given an ``rng`` (what PrivBayes'
     ancestral sampling uses).
     """
-
-    transform_name = "discretize"
 
     def __init__(self, n_bins: int = 10, feature_range: tuple = (0.0, 1.0)):
         check_positive(n_bins, "n_bins")
@@ -449,13 +373,6 @@ class EqualWidthDiscretizer(ColumnTransform):
     def output_width(self) -> int:
         return 1
 
-    def get_config(self) -> dict:
-        return {
-            "transform": self.transform_name,
-            "n_bins": self.n_bins,
-            "feature_range": list(self.feature_range),
-        }
-
     def state_dict(self) -> dict:
         self._check_fitted()
         return {"edges": np.asarray(self.edges_)}
@@ -470,32 +387,8 @@ class EqualWidthDiscretizer(ColumnTransform):
 
 
 # ----------------------------------------------------------------------------------
-# Registry / helpers
+# Helpers
 # ----------------------------------------------------------------------------------
-
-_COLUMN_TRANSFORMS = {
-    cls.transform_name: cls
-    for cls in (
-        MinMaxNumeric,
-        StandardNumeric,
-        OneHotCategorical,
-        OrdinalCategorical,
-        EqualWidthDiscretizer,
-    )
-}
-
-
-def column_transform_from_config(config: dict) -> ColumnTransform:
-    """Rebuild an unfitted column transform from its ``get_config()`` dict."""
-    config = dict(config)
-    name = config.pop("transform", None)
-    if name not in _COLUMN_TRANSFORMS:
-        raise KeyError(
-            f"unknown column transform {name!r}; known: {sorted(_COLUMN_TRANSFORMS)}"
-        )
-    if name == "discretize" and "feature_range" in config:
-        config["feature_range"] = tuple(config["feature_range"])
-    return _COLUMN_TRANSFORMS[name](**config)
 
 
 def fit_discrete_column(values, n_bins: int):

@@ -31,14 +31,11 @@ from repro.transforms.column import (
     MinMaxNumeric,
     OneHotCategorical,
     OrdinalCategorical,
-    StandardNumeric,
     as_typed_values,
 )
 from repro.transforms.schema import TableSchema
 
 __all__ = ["TableTransformer"]
-
-_NUMERIC_TRANSFORMS = {"minmax": MinMaxNumeric, "standard": StandardNumeric}
 
 
 def _as_table(rows) -> np.ndarray:
@@ -62,9 +59,8 @@ class TableTransformer:
     schema:
         Column kinds and (optionally) declared categories.  ``None`` infers a
         schema from the data at fit time (:meth:`TableSchema.infer`).
-    numeric:
-        Model-space encoding for numeric columns: ``"minmax"`` (default; the
-        paper's protocol) or ``"standard"``.
+        Numeric columns are min–max scaled into ``[0, 1]`` (the paper's
+        protocol).
 
     Attributes
     ----------
@@ -74,15 +70,10 @@ class TableTransformer:
         One fitted column transform per schema column.
     """
 
-    def __init__(self, schema: Optional[TableSchema] = None, numeric: str = "minmax"):
-        if numeric not in _NUMERIC_TRANSFORMS:
-            raise ValueError(
-                f"numeric must be one of {sorted(_NUMERIC_TRANSFORMS)}; got {numeric!r}"
-            )
+    def __init__(self, schema: Optional[TableSchema] = None):
         if schema is not None and not isinstance(schema, TableSchema):
             schema = TableSchema.from_dict(schema)
         self.schema: Optional[TableSchema] = schema
-        self.numeric = numeric
         self.transforms_: Optional[list] = None
 
     # ------------------------------------------------------------------
@@ -91,7 +82,7 @@ class TableTransformer:
 
     def _build_transform(self, column):
         if column.kind == "numeric":
-            return _NUMERIC_TRANSFORMS[self.numeric]()
+            return MinMaxNumeric()
         if column.kind == "ordinal":
             return OrdinalCategorical(categories=column.categories)
         # categorical and binary both one-hot encode.
@@ -234,14 +225,16 @@ class TableTransformer:
         """JSON-safe description sufficient to rebuild an unfitted twin."""
         if self.schema is None:
             raise RuntimeError("transformer has no schema yet; fit it (or pass one) first")
-        return {"schema": self.schema.to_dict(), "numeric": self.numeric}
+        return {"schema": self.schema.to_dict()}
 
     @classmethod
     def from_config(cls, config: dict) -> "TableTransformer":
-        return cls(
-            schema=TableSchema.from_dict(config["schema"]),
-            numeric=config.get("numeric", "minmax"),
-        )
+        # Configs written before numeric columns were always min-max scaled
+        # record the encoding; any other encoding cannot be rebuilt.
+        numeric = config.get("numeric", "minmax")
+        if numeric != "minmax":
+            raise ValueError(f"numeric columns are min-max scaled, not {numeric!r}")
+        return cls(schema=TableSchema.from_dict(config["schema"]))
 
     def state_dict(self) -> dict:
         """Fitted state as a flat ``name -> numpy array`` mapping."""

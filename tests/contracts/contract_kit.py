@@ -11,6 +11,7 @@ import inspect
 
 import numpy as np
 
+from repro.nn import Tensor, no_grad
 from repro.serving.registry import get_model_spec
 
 #: Laptop-instant hyper-parameter overrides, applied to every constructor
@@ -69,3 +70,16 @@ def make_mixed_contract_setup(random_state: int = 0):
     dataset = load_dataset("adult_mixed", n_samples=260, random_state=random_state)
     transformer = TableTransformer(dataset.schema).fit(dataset.X_train)
     return dataset, transformer
+
+
+def tape_decode_rows(decoder, latent, decoder_type):
+    """The autograd-tape reference for ``repro.models.base.decode_rows``.
+
+    The decoder's forward under ``no_grad``, with the Bernoulli output clip:
+    the compiled decoder plan must return these rows bit for bit.
+    """
+    with no_grad():
+        decoded = decoder(Tensor(latent)).data
+    if decoder_type == "bernoulli":
+        np.clip(decoded, 0.0, 1.0, out=decoded)
+    return decoded

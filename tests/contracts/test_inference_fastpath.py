@@ -1,15 +1,17 @@
 """The fused-inference fast-path contract, asserted for every registered model.
 
-The compiled tape-free decoder path (:mod:`repro.nn.inference`) promises
-**bit-identity** with the autograd tape, not mere closeness.  This suite pins
-that promise end to end, registry-driven like the rest of the contract kit:
+Sampling always decodes through the compiled tape-free plan
+(:mod:`repro.nn.inference`), which promises **bit-identity** with the
+autograd tape, not mere closeness.  The tape reference lives in the contract
+kit (:func:`contract_kit.tape_decode_rows`) and is patched in where the
+decoder models decode (``repro.models.decoder.decode_rows``).  This suite
+pins the promise end to end, registry-driven like the rest of the kit:
 
-- seeded ``sample`` / ``sample_labeled`` are byte-equal with the fused path
-  on and off, for every registered synthesizer;
+- seeded ``sample`` / ``sample_labeled`` are byte-equal on the plan and on
+  the tape, for every registered synthesizer;
 - the identity holds through a released artifact (``save -> load -> sample``);
 - it holds over HTTP: NDJSON and CSV response bodies are identical whether
-  the server decodes through the tape (``REPRO_FUSED_INFERENCE=0``) or the
-  fused plans (the default).
+  the server decodes through the tape or the compiled plans.
 """
 
 import io
@@ -20,8 +22,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from contract_kit import tiny_model
-from repro.nn.inference import compiled_plan, fused_inference
+import repro.models.decoder as decoder_module
+from contract_kit import tape_decode_rows
+from repro.nn.inference import compiled_plan
 from repro.obs import MetricsRegistry
 from repro.server import ServingClient, SynthesisHTTPServer
 from repro.serving import SynthesisService
@@ -32,14 +35,40 @@ from repro.utils.logging import StructuredLogger
 ALL_MODELS = registered_synthesizers()
 
 
+@contextmanager
+def _tape_decoding(decode=tape_decode_rows):
+    """Decode through ``decode`` (the tape reference) instead of the plan."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decoder_module, "decode_rows", decode)
+        yield
+
+
 def _tape_sample(model, n, seed):
-    with fused_inference(False):
+    with _tape_decoding():
         return model.sample(n, rng=np.random.default_rng(seed))
 
 
 def _fused_sample(model, n, seed):
-    with fused_inference(True):
-        return model.sample(n, rng=np.random.default_rng(seed))
+    return model.sample(n, rng=np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_every_neural_decoder_decodes_through_the_patch_point(
+    name, fitted_contract_models
+):
+    # The comparisons below are only meaningful if the tape reference really
+    # replaces the plan: every model with a neural decoder (it records a
+    # ``decoder_type``) must decode through repro.models.decoder.decode_rows.
+    model = fitted_contract_models[name]
+    calls = []
+
+    def counting_decode(*args):
+        calls.append(len(args[1]))
+        return tape_decode_rows(*args)
+
+    with _tape_decoding(counting_decode):
+        model.sample(60, rng=np.random.default_rng(0))
+    assert bool(calls) == ("decoder_type" in model.get_config())
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)
@@ -61,14 +90,13 @@ def test_fused_sample_labeled_is_bit_identical_to_tape(
     name, fitted_contract_models
 ):
     model = fitted_contract_models[name]
-    with fused_inference(False):
+    with _tape_decoding():
         X_tape, y_tape = model.sample_labeled(
             41, rng=np.random.default_rng(5), generation_rng=np.random.default_rng(7)
         )
-    with fused_inference(True):
-        X_fused, y_fused = model.sample_labeled(
-            41, rng=np.random.default_rng(5), generation_rng=np.random.default_rng(7)
-        )
+    X_fused, y_fused = model.sample_labeled(
+        41, rng=np.random.default_rng(5), generation_rng=np.random.default_rng(7)
+    )
     assert X_tape.tobytes() == X_fused.tobytes()
     assert np.array_equal(y_tape, y_fused)
 
@@ -90,7 +118,6 @@ def test_load_state_dict_invalidates_the_compiled_plan(fitted_contract_models):
     model = fitted_contract_models["vae"]
     _fused_sample(model, 5, seed=1)  # materialise a plan for the decoder
     plan_before = compiled_plan(model.decoder)
-    assert plan_before is not None
     model.load_state_dict(model.state_dict())
     # load_state_dict rebuilds the decoder module, so the stale plan cannot
     # be reached; the fresh decoder compiles its own.
@@ -142,15 +169,14 @@ def _fetch(client, ref, payload, labeled=False):
 
 @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
 @pytest.mark.parametrize("name", ALL_MODELS)
-def test_http_bodies_identical_fused_vs_tape(
-    name, fmt, fastpath_artifact_root, monkeypatch
-):
+def test_http_bodies_identical_fused_vs_tape(name, fmt, fastpath_artifact_root):
     payload = {"n_samples": 64, "seed": 9, "format": fmt}
     with _serve(fastpath_artifact_root, registry=MetricsRegistry()) as (_, client):
-        monkeypatch.setenv("REPRO_FUSED_INFERENCE", "0")
-        tape = _fetch(client, name, payload)
-        tape_labeled = _fetch(client, name, payload, labeled=True)
-        monkeypatch.delenv("REPRO_FUSED_INFERENCE")
+        # The server decodes on its own threads, in this process, through
+        # the patched module attribute.
+        with _tape_decoding():
+            tape = _fetch(client, name, payload)
+            tape_labeled = _fetch(client, name, payload, labeled=True)
         fused = _fetch(client, name, payload)
         fused_labeled = _fetch(client, name, payload, labeled=True)
     assert tape == fused

@@ -6,7 +6,7 @@ import pytest
 from repro.engine import (
     CheckpointCallback,
     CheckpointError,
-    EarlyStopping,
+    EpochHook,
     HistoryLogger,
     ShuffleSampler,
     Trainer,
@@ -31,7 +31,7 @@ def make_training_setup(data, epochs=4, seed=0, callbacks=None):
     model._build(model.n_input_features_)
     optimizer = model._make_optimizer(len(prepared))
     if callbacks is None:
-        callbacks = [HistoryLogger(), EarlyStopping(patience=10)]
+        callbacks = [HistoryLogger(), EpochHook()]
     trainer = Trainer(
         model, optimizer, ShuffleSampler(model.batch_size), callbacks=callbacks, rng=model._rng
     )
@@ -57,7 +57,7 @@ class TestSaveLoadRoundTrip:
         assert checkpoint.global_step == trainer.global_step
         assert checkpoint.manifest["model_class"] == "VAE"
         assert checkpoint.manifest["checkpoint_format_version"] == CHECKPOINT_FORMAT_VERSION
-        assert checkpoint.manifest["callbacks"] == ["HistoryLogger", "EarlyStopping"]
+        assert checkpoint.manifest["callbacks"] == ["HistoryLogger", "EpochHook"]
         for i, p in enumerate(trainer.optimizer.params):
             np.testing.assert_array_equal(checkpoint.state[f"param.{i}"], p.data)
 

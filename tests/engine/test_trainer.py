@@ -8,7 +8,7 @@ import pytest
 from repro.engine import Callback, HistoryLogger, PoissonSampler, PrivacyBudgetTracker
 from repro.engine import ShuffleSampler, Trainer
 from repro.models import DPVAE, P3GM, PGM, VAE
-from repro.nn import Adam
+from repro.nn import SGD, Adam
 from repro.privacy import DPSGD
 from repro.privacy.accounting import P3GMAccountant
 
@@ -45,11 +45,13 @@ def tiny_built_vae():
     return model
 
 
-def private_trainer(model, sampler, callbacks=(), **dpsgd):
-    """A private Trainer whose DPSGD draws noise from ``rng=7`` (sigma 1.5, C 2, B 5)."""
+def private_trainer(model, sampler, callbacks=(), lr=0.001, **dpsgd):
+    """A private Trainer whose DPSGD (around SGD at ``lr``) draws noise from
+    ``rng=7`` (sigma 1.5, C 2, B 5)."""
+    params = list(model._parameters())
     optimizer = DPSGD(
-        list(model._parameters()), noise_multiplier=1.5, max_grad_norm=2.0,
-        expected_batch_size=5, rng=7, **dpsgd,
+        params, noise_multiplier=1.5, max_grad_norm=2.0, expected_batch_size=5,
+        base_optimizer=SGD(params, lr=lr), rng=7, **dpsgd,
     )
     return Trainer(
         model, optimizer, sampler, callbacks=[*callbacks, HistoryLogger()], rng=model._rng

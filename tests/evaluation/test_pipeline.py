@@ -69,8 +69,8 @@ class TestUtilityProtocol:
 
     def test_degenerate_synthesizer_scored_at_chance(self, small_credit):
         class SingleClassModel(PGM):
-            def sample_labeled(self, n_samples, match_ratio=True, rng=None):
-                X, _ = super().sample_labeled(n_samples, match_ratio, rng)
+            def sample_labeled(self, n_samples, rng=None):
+                X, _ = super().sample_labeled(n_samples, rng=rng)
                 return X, np.zeros(len(X), dtype=int)
 
         model = SingleClassModel(latent_dim=10, hidden=(32,), epochs=1, batch_size=200, random_state=0)

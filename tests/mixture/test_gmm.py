@@ -14,10 +14,9 @@ def make_two_blob_data(rng, n=600, d=2, separation=6.0):
 
 
 class TestGaussianMixture:
-    @pytest.mark.parametrize("covariance_type", ["diag", "full"])
-    def test_recovers_two_clusters(self, rng, covariance_type):
+    def test_recovers_two_clusters(self, rng):
         X = make_two_blob_data(rng)
-        gmm = GaussianMixture(2, covariance_type=covariance_type, n_iter=50, random_state=0).fit(X)
+        gmm = GaussianMixture(2, n_iter=50, random_state=0).fit(X)
         centers = np.sort(gmm.means_[:, 0])
         assert centers[0] == pytest.approx(-3.0, abs=0.5)
         assert centers[1] == pytest.approx(3.0, abs=0.5)
@@ -63,22 +62,33 @@ class TestGaussianMixture:
         far = gmm.score_samples(np.array([[30.0, 30.0]]))
         assert near > far
 
-    def test_full_covariance_captures_correlation(self, rng):
-        cov = np.array([[1.0, 0.9], [0.9, 1.0]])
-        X = rng.multivariate_normal([0, 0], cov, size=1500)
-        gmm = GaussianMixture(1, covariance_type="full", n_iter=10, random_state=0).fit(X)
-        assert gmm.covariances_[0][0, 1] == pytest.approx(0.9, abs=0.1)
-
     def test_set_parameters_roundtrip(self):
-        gmm = GaussianMixture(2, covariance_type="diag")
+        gmm = GaussianMixture(2)
         gmm.set_parameters([0.4, 0.6], np.zeros((2, 3)), np.ones((2, 3)))
         samples, _ = gmm.sample(10)
         assert samples.shape == (10, 3)
 
-    def test_set_parameters_validation(self):
+    @pytest.mark.parametrize(
+        "weights, covariances",
+        [
+            ([0.7, 0.7], np.ones((2, 3))),
+            ([1.5, -0.5], np.ones((2, 3))),
+            ([0.5, 0.5], np.ones((2, 1))),
+            ([0.5, 0.5], np.ones((2, 3, 3))),
+            ([0.5, 0.5], -np.ones((2, 3))),
+            ([0.5, 0.5], np.zeros((2, 3))),
+            ([0.5, 0.5], np.full((2, 3), np.nan)),
+            ([0.5, 0.5], np.full((2, 3), np.inf)),
+        ],
+        ids=[
+            "weights-sum", "negative-weight", "narrow-variances", "full-matrices",
+            "negative-variances", "zero-variances", "nan-variances", "inf-variances",
+        ],
+    )
+    def test_set_parameters_validation(self, weights, covariances):
         gmm = GaussianMixture(2)
         with pytest.raises(ValueError):
-            gmm.set_parameters([0.7, 0.7], np.zeros((2, 3)), np.ones((2, 3)))
+            gmm.set_parameters(weights, np.zeros((2, 3)), covariances)
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
@@ -87,8 +97,6 @@ class TestGaussianMixture:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             GaussianMixture(0)
-        with pytest.raises(ValueError):
-            GaussianMixture(2, covariance_type="spherical")
         with pytest.raises(ValueError):
             GaussianMixture(2, n_iter=0)
 
@@ -124,17 +132,43 @@ class TestDPGaussianMixture:
     def test_variances_stay_positive_under_heavy_noise(self, rng):
         X = rng.normal(size=(200, 3)) * 0.1
         dpgmm = DPGaussianMixture(2, sigma=100.0, n_iter=5, random_state=1).fit(X)
-        assert np.all(dpgmm.diagonal_covariances() > 0)
-
-    def test_full_covariance_projected_to_psd(self, rng):
-        X = rng.normal(size=(300, 4)) * 0.2
-        dpgmm = DPGaussianMixture(
-            2, sigma=30.0, covariance_type="full", n_iter=5, random_state=2
-        ).fit(X)
-        for cov in dpgmm.covariances_:
-            eigvals = np.linalg.eigvalsh(cov)
-            assert np.all(eigvals > 0)
+        assert np.all(dpgmm.covariances_ > 0)
 
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
             DPGaussianMixture(2, sigma=0.0)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (
+            lambda state: {**state, "prior.covariances": state["prior.covariances"][:, :1]},
+            "covariances have shape",
+        ),
+        (
+            lambda state: {**state, "prior.covariances": -state["prior.covariances"]},
+            "finite and positive",
+        ),
+        (
+            lambda state: {**state, "prior.weights": np.array([1.5, -0.5])},
+            "non-negative",
+        ),
+    ],
+    ids=["one-column-variances", "negated-variances", "negative-weight"],
+)
+def test_load_artifact_refuses_an_invalid_prior(corrupt, message, tmp_path):
+    from repro.models import PGM
+    from repro.serving import ArtifactError, load_artifact, save_artifact
+
+    X = np.random.default_rng(0).random((60, 6))
+    model = PGM(
+        latent_dim=3, n_mixture_components=2, em_iterations=3, hidden=(8,),
+        epochs=1, batch_size=30, random_state=0,
+    ).fit(X)
+    path = save_artifact(model, tmp_path / "pgm")
+    with np.load(path / "weights.npz", allow_pickle=False) as archive:
+        state = {key: archive[key] for key in archive.files}
+    np.savez(path / "weights.npz", **corrupt(state))
+    with pytest.raises(ArtifactError, match=message):
+        load_artifact(path)

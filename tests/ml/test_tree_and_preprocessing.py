@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml import DecisionTreeRegressor, MinMaxScaler, StandardScaler, train_test_split
+from repro.ml import DecisionTreeRegressor, MinMaxScaler, train_test_split
 
 
 class TestDecisionTree:
@@ -90,40 +90,23 @@ class TestScalers:
         out = scaler.transform(np.array([[10.0, -10.0]]))
         np.testing.assert_allclose(out, [[1.0, 0.0]])
 
-    def test_standard_scaler(self, rng):
-        X = rng.normal(loc=3, scale=2, size=(200, 3))
-        scaled = StandardScaler().fit_transform(X)
-        np.testing.assert_allclose(scaled.mean(axis=0), 0.0, atol=1e-10)
-        np.testing.assert_allclose(scaled.std(axis=0), 1.0, atol=1e-10)
-
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             MinMaxScaler().transform(np.ones((2, 2)))
-        with pytest.raises(RuntimeError):
-            StandardScaler().transform(np.ones((2, 2)))
 
     def test_unfitted_inverse_transform_raises_the_same_error(self):
-        # Both scalers share one _check_fitted guard on transform AND
-        # inverse_transform, with a consistent message.
+        # One _check_fitted guard on transform AND inverse_transform, with a
+        # consistent message.
         with pytest.raises(RuntimeError, match="not fitted"):
             MinMaxScaler().inverse_transform(np.ones((2, 2)))
-        with pytest.raises(RuntimeError, match="not fitted"):
-            StandardScaler().inverse_transform(np.ones((2, 2)))
-
-    def test_standard_scaler_roundtrip(self, rng):
-        X = rng.normal(loc=-2, scale=5, size=(60, 3))
-        scaler = StandardScaler().fit(X)
-        np.testing.assert_allclose(scaler.inverse_transform(scaler.transform(X)), X, atol=1e-10)
 
     def test_scalers_are_the_shared_transform_implementations(self):
         # The dedup satellite: one arithmetic implementation in repro.transforms
         # serves the sklearn-style names.
-        from repro.transforms import MinMaxNumeric, StandardNumeric
+        from repro.transforms import MinMaxNumeric
 
         assert issubclass(MinMaxScaler, MinMaxNumeric)
-        assert issubclass(StandardScaler, StandardNumeric)
         assert MinMaxScaler.transform is MinMaxNumeric.transform
-        assert StandardScaler.inverse_transform is StandardNumeric.inverse_transform
 
 
 class TestTrainTestSplit:

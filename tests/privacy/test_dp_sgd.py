@@ -20,7 +20,11 @@ def make_model_and_data(seed=0, n=64, d=4):
 class TestDPSGDMechanics:
     def test_step_requires_grad_sample(self):
         model, X, y = make_model_and_data()
-        opt = DPSGD(model.parameters(), noise_multiplier=1.0, max_grad_norm=1.0, expected_batch_size=64)
+        params = list(model.parameters())
+        opt = DPSGD(
+            params, noise_multiplier=1.0, max_grad_norm=1.0, expected_batch_size=64,
+            base_optimizer=SGD(params),
+        )
         loss = F.mse_loss(model(Tensor(X)), y, reduction="sum")
         loss.backward()
         with pytest.raises(RuntimeError):
@@ -30,7 +34,10 @@ class TestDPSGDMechanics:
         """The error must identify which parameter lacks grad_sample (index + shape)."""
         model, X, y = make_model_and_data()
         params = list(model.parameters())
-        opt = DPSGD(params, noise_multiplier=1.0, max_grad_norm=1.0, expected_batch_size=64)
+        opt = DPSGD(
+            params, noise_multiplier=1.0, max_grad_norm=1.0, expected_batch_size=64,
+            base_optimizer=SGD(params),
+        )
         with grad_sample_mode():
             F.mse_loss(model(Tensor(X)), y, reduction="sum").backward()
         # Drop the per-example gradient of the third parameter only.
@@ -42,7 +49,10 @@ class TestDPSGDMechanics:
         model, X, y = make_model_and_data()
         params = list(model.parameters())
         before = [p.data.copy() for p in params]
-        opt = DPSGD(params, noise_multiplier=0.5, max_grad_norm=1.0, expected_batch_size=64, lr=0.1, rng=0)
+        opt = DPSGD(
+            params, noise_multiplier=0.5, max_grad_norm=1.0, expected_batch_size=64,
+            base_optimizer=SGD(params, lr=0.1), rng=0,
+        )
         with grad_sample_mode():
             loss = F.mse_loss(model(Tensor(X)), y, reduction="sum")
             loss.backward()
@@ -52,7 +62,11 @@ class TestDPSGDMechanics:
 
     def test_grad_samples_cleared_after_step(self):
         model, X, y = make_model_and_data()
-        opt = DPSGD(model.parameters(), noise_multiplier=0.5, max_grad_norm=1.0, expected_batch_size=64, rng=0)
+        params = list(model.parameters())
+        opt = DPSGD(
+            params, noise_multiplier=0.5, max_grad_norm=1.0, expected_batch_size=64,
+            base_optimizer=SGD(params, lr=0.001), rng=0,
+        )
         with grad_sample_mode():
             F.mse_loss(model(Tensor(X)), y, reduction="sum").backward()
         opt.step()
@@ -90,12 +104,14 @@ class TestDPSGDMechanics:
 
     def test_privacy_spent_accumulates(self):
         model, X, y = make_model_and_data()
+        params = list(model.parameters())
         opt = DPSGD(
-            model.parameters(),
+            params,
             noise_multiplier=1.5,
             max_grad_norm=1.0,
             expected_batch_size=16,
             sample_rate=0.25,
+            base_optimizer=SGD(params, lr=0.001),
             rng=0,
         )
         assert opt.privacy_spent(1e-5) == 0.0
@@ -109,18 +125,30 @@ class TestDPSGDMechanics:
 
     def test_privacy_spent_requires_sample_rate(self):
         model, X, y = make_model_and_data()
-        opt = DPSGD(model.parameters(), noise_multiplier=1.0, max_grad_norm=1.0, expected_batch_size=8)
+        params = list(model.parameters())
+        opt = DPSGD(
+            params, noise_multiplier=1.0, max_grad_norm=1.0, expected_batch_size=8,
+            base_optimizer=SGD(params),
+        )
         with pytest.raises(ValueError):
             opt.privacy_spent(1e-5)
 
     def test_invalid_constructor_args(self):
         model, _, _ = make_model_and_data()
+        params = list(model.parameters())
+        base = SGD(params)
         with pytest.raises(ValueError):
-            DPSGD([], 1.0, 1.0, 8)
+            DPSGD([], 1.0, 1.0, 8, base_optimizer=base)
         with pytest.raises(ValueError):
-            DPSGD(model.parameters(), 0.0, 1.0, 8)
+            DPSGD(params, 0.0, 1.0, 8, base_optimizer=base)
         with pytest.raises(ValueError):
-            DPSGD(model.parameters(), 1.0, -1.0, 8)
+            DPSGD(params, 1.0, -1.0, 8, base_optimizer=base)
+
+    def test_base_optimizer_is_required(self):
+        # There is no default base: the models always hand DP-SGD their Adam.
+        model, _, _ = make_model_and_data()
+        with pytest.raises(TypeError, match="base_optimizer"):
+            DPSGD(list(model.parameters()), 1.0, 1.0, 8)
 
 
 class TestDPSGDState:
@@ -259,12 +287,13 @@ class TestDPSGDLearning:
     def test_dp_sgd_still_learns_with_moderate_noise(self):
         """DP-SGD with moderate noise should still reduce the loss on easy data."""
         model, X, y = make_model_and_data(seed=2, n=256)
+        params = list(model.parameters())
         opt = DPSGD(
-            model.parameters(),
+            params,
             noise_multiplier=0.5,
             max_grad_norm=1.0,
             expected_batch_size=256,
-            lr=0.5,
+            base_optimizer=SGD(params, lr=0.5),
             rng=3,
         )
         losses = []

@@ -161,7 +161,7 @@ class TestMixtureProperties:
         variances = np.array(
             data.draw(st.lists(st.lists(st.floats(0.1, 4.0), min_size=d, max_size=d), min_size=k, max_size=k))
         )
-        gmm = GaussianMixture(n_components=k, covariance_type="diag")
+        gmm = GaussianMixture(n_components=k)
         gmm.set_parameters(weights, means, variances)
         X = np.array(
             data.draw(st.lists(st.lists(st.floats(-5, 5), min_size=d, max_size=d), min_size=3, max_size=8))

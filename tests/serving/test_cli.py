@@ -244,6 +244,26 @@ class TestCsvHoldout:
         assert (data.X_train == train_rows).all()
         assert not (test_keys & train_keys)
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_missing_label_column_is_an_error_message(
+        self, command, labeled_csv, trained_artifact, tmp_path, capsys
+    ):
+        # ``train --data`` and ``evaluate`` read the CSV through one split
+        # helper; both report the missing label column, not a traceback.
+        csv_path, _ = labeled_csv
+        if command == "train":
+            argv = [
+                "train", "--model", "privbayes", "--data", str(csv_path),
+                "--label", "wage", "--output", str(tmp_path / "artifact"),
+            ]
+        else:
+            argv = [
+                "evaluate", "--artifact", str(trained_artifact),
+                "--data", str(csv_path), "--label", "wage",
+            ]
+        assert main(argv) == 2
+        assert "label column 'wage' is not in" in capsys.readouterr().err
+
     def test_end_to_end_evaluate_uses_the_holdout(self, labeled_csv, tmp_path, capsys):
         csv_path, _ = labeled_csv
         artifact = tmp_path / "artifact"

@@ -72,6 +72,18 @@ class TestTransformerPersistence:
         with pytest.raises(ArtifactError, match="transformer.npz is missing"):
             load_transformer(broken)
 
+    def test_recorded_numeric_encoding_other_than_minmax_is_refused(self, mixed_release, tmp_path):
+        import shutil
+
+        path, *_ = mixed_release
+        recorded = tmp_path / "recorded"
+        shutil.copytree(path, recorded)
+        manifest = json.loads((recorded / "manifest.json").read_text())
+        manifest["transformer"]["numeric"] = "standard"
+        (recorded / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactError, match="invalid transformer config"):
+            load_transformer(recorded)
+
 
 class TestFormatV1BackCompat:
     def test_old_artifacts_still_load(self, mixed_release, tmp_path):

@@ -162,12 +162,9 @@ class TestBehaviour:
         with pytest.raises(RuntimeError, match="not fitted"):
             transformer.inverse_transform(np.zeros((1, 4)))
 
-    def test_standard_numeric_mode(self):
+    def test_config_with_another_numeric_encoding_is_refused(self):
         schema, rows = self._mixed()
-        transformer = TableTransformer(schema, numeric="standard").fit(rows)
-        encoded = transformer.transform(rows)
-        np.testing.assert_allclose(encoded[:, 0].mean(), 0.0, atol=1e-12)
-        decoded = transformer.inverse_transform(encoded)
-        np.testing.assert_allclose(decoded[:, 0].astype(float), [1.0, 2.5, 4.0])
-        with pytest.raises(ValueError, match="numeric must be one of"):
-            TableTransformer(schema, numeric="robust")
+        config = TableTransformer(schema).fit(rows).get_config()
+        assert TableTransformer.from_config({**config, "numeric": "minmax"}).schema == schema
+        with pytest.raises(ValueError, match="min-max"):
+            TableTransformer.from_config({**config, "numeric": "standard"})
