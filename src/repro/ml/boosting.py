@@ -3,7 +3,9 @@
 These stand in for sklearn's AdaBoostClassifier / GradientBoostingClassifier
 in the paper's utility protocol.  Both are binary classifiers (the paper uses
 them only on the binary tabular datasets; the image tasks use the MLP/CNN
-classifier instead).
+classifier instead).  Each ``fit`` sorts the feature columns once
+(``repro.ml.tree.SortedColumns``) and grows every tree from that presort: the
+same trees, bit for bit, as trees that sort for themselves.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit
 
-from repro.ml.tree import DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeRegressor, SortedColumns
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_X_y, check_array, check_positive
 
@@ -59,6 +61,7 @@ class AdaBoostClassifier(_BinaryClassifierBase):
         y_index = self._encode_labels(y)
         signs = 2.0 * y_index - 1.0  # {-1, +1}
         weights = np.full(len(y), 1.0 / len(y))
+        columns = SortedColumns(X)
         self.estimators_ = []
         self.estimator_weights_ = []
 
@@ -66,7 +69,7 @@ class AdaBoostClassifier(_BinaryClassifierBase):
             stump = DecisionTreeRegressor(
                 max_depth=self.max_depth, min_samples_leaf=1, random_state=self._rng
             )
-            stump.fit(X, signs, sample_weight=weights)
+            stump.fit_sorted(columns, signs, sample_weight=weights)
             predictions = np.sign(stump.predict(X))
             predictions[predictions == 0] = 1.0
             misclassified = predictions != signs
@@ -134,6 +137,7 @@ class GradientBoostingClassifier(_BinaryClassifierBase):
         positive_rate = np.clip(y_index.mean(), 1e-6, 1 - 1e-6)
         self.initial_log_odds_ = float(np.log(positive_rate / (1 - positive_rate)))
         raw = np.full(len(y), self.initial_log_odds_)
+        columns = SortedColumns(X)
         self.estimators_ = []
 
         for _ in range(self.n_estimators):
@@ -146,7 +150,7 @@ class GradientBoostingClassifier(_BinaryClassifierBase):
                 max_features=self.max_features,
                 random_state=self._rng,
             )
-            tree.fit(X, residuals)
+            tree.fit_sorted(columns, residuals)
             raw = raw + self.learning_rate * tree.predict(X)
             self.estimators_.append(tree)
         return self

@@ -5,7 +5,10 @@ round fits a regression tree to the negative gradients of the logistic loss,
 then replaces the leaf values with the Newton step
 ``-sum(grad) / (sum(hess) + reg_lambda)`` — the core of XGBoost's objective —
 so the ensemble benefits from second-order information and L2 leaf
-regularisation.
+regularisation.  As in XGBoost's exact greedy algorithm, ``fit`` sorts the
+columns once; each round passes its row subsample to the tree as indices into
+that presort rather than copying and re-sorting ``X[chosen]``, and grows the
+same tree bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from repro.ml.boosting import _BinaryClassifierBase
-from repro.ml.tree import DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeRegressor, SortedColumns
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_X_y, check_array, check_positive
 
@@ -63,6 +66,7 @@ class XGBClassifier(_BinaryClassifierBase):
         y_index = self._encode_labels(y).astype(np.float64)
         self.base_score_ = 0.0
         raw = np.zeros(len(y))
+        columns = SortedColumns(X)
         self.estimators_ = []
 
         for _ in range(self.n_estimators):
@@ -70,12 +74,11 @@ class XGBClassifier(_BinaryClassifierBase):
             grad = probabilities - y_index
             hess = probabilities * (1.0 - probabilities)
 
+            rows = np.arange(len(y))
             if self.subsample < 1.0:
                 chosen = self._rng.random(len(y)) < self.subsample
-                if chosen.sum() < 10:
-                    chosen = np.ones(len(y), dtype=bool)
-            else:
-                chosen = np.ones(len(y), dtype=bool)
+                if chosen.sum() >= 10:
+                    rows = np.flatnonzero(chosen)
 
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth,
@@ -83,19 +86,16 @@ class XGBClassifier(_BinaryClassifierBase):
                 max_features=self.max_features,
                 random_state=self._rng,
             )
-            tree.fit(X[chosen], -grad[chosen])
+            tree.fit_sorted(columns, -grad, rows=rows)
 
             # Newton leaf weights: -G / (H + lambda) computed per leaf.
-            leaf_ids = tree.apply(X[chosen])
-            leaf_values = {}
-            for leaf in np.unique(leaf_ids):
-                members = leaf_ids == leaf
-                g_sum = grad[chosen][members].sum()
-                h_sum = hess[chosen][members].sum()
-                leaf_values[int(leaf)] = float(-g_sum / (h_sum + self.reg_lambda))
-            tree.set_leaf_values(leaf_values)
+            leaves = tree.apply(X)
+            round_leaves = leaves[rows]
+            for leaf in np.unique(round_leaves):
+                members = rows[round_leaves == leaf]
+                tree.value_[leaf] = -grad[members].sum() / (hess[members].sum() + self.reg_lambda)
 
-            raw = raw + self.learning_rate * tree.predict(X)
+            raw = raw + self.learning_rate * tree.value_[leaves]
             self.estimators_.append(tree)
         return self
 

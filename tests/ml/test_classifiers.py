@@ -93,6 +93,14 @@ class TestBinaryClassifiers:
         with pytest.raises(RuntimeError):
             MLPClassifier().predict(X)
 
+    @pytest.mark.parametrize("factory", ALL_BINARY[1:4])  # the three tree ensembles
+    def test_tree_ensembles_reject_a_different_width(self, factory):
+        X, y = make_binary_problem(n=120)
+        model = factory().fit(X, y)
+        for wrong in (X[:5, :4], np.hstack([X[:5], X[:5]])):
+            with pytest.raises(ValueError, match="fitted on 8"):
+                model.predict_proba(wrong)
+
     def test_invalid_hyperparameters(self):
         with pytest.raises(ValueError):
             AdaBoostClassifier(n_estimators=0)

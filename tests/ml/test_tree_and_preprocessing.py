@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml import DecisionTreeRegressor, MinMaxScaler, train_test_split
+from repro.ml.tree import SortedColumns
 
 
 class TestDecisionTree:
@@ -34,14 +35,15 @@ class TestDecisionTree:
         weights = np.concatenate([np.full(50, 1e-6), np.full(50, 1.0)])
         tree = DecisionTreeRegressor(max_depth=1).fit(X, y, sample_weight=weights)
         # With almost all weight on the y=1 group, the root prediction is ~1.
-        assert tree.root_.value > 0.9
+        assert tree.value_[0] > 0.9
 
     def test_apply_and_set_leaf_values(self, rng):
         X = rng.uniform(size=(100, 2))
         y = rng.normal(size=100)
         tree = DecisionTreeRegressor(max_depth=2).fit(X, y)
         leaves = np.unique(tree.apply(X))
-        tree.set_leaf_values({int(leaf): 7.0 for leaf in leaves})
+        np.testing.assert_array_equal(leaves, np.flatnonzero(tree.feature_ == -1))
+        tree.value_[leaves] = 7.0
         np.testing.assert_allclose(tree.predict(X), 7.0)
 
     def test_constant_target_single_leaf(self):
@@ -64,6 +66,36 @@ class TestDecisionTree:
             DecisionTreeRegressor().predict(np.ones((2, 2)))
         with pytest.raises(ValueError):
             DecisionTreeRegressor().fit(np.ones((3, 2)), np.ones(3), sample_weight=-np.ones(3))
+        for max_features in (0, -1, "log2", 1.5, True, "SQRT"):
+            with pytest.raises(ValueError, match="max_features"):
+                DecisionTreeRegressor(max_features=max_features)
+        for max_features in (None, "sqrt", 1, np.int64(3)):
+            DecisionTreeRegressor(max_features=max_features)
+        X, y = np.random.default_rng(0).uniform(size=(20, 3)), np.arange(20.0)
+        for weights in (np.ones(1), np.ones(19), np.ones((20, 1))):
+            with pytest.raises(ValueError, match="sample_weight must match y"):
+                DecisionTreeRegressor().fit(X, y, sample_weight=weights)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                DecisionTreeRegressor().fit(X, y, sample_weight=np.where(y == 3, bad, 1.0))
+
+    def test_fit_sorted_rejects_rows_that_are_not_increasing_indices(self, rng):
+        X, y = rng.uniform(size=(20, 3)), rng.normal(size=20)
+        columns = SortedColumns(X)
+        for rows in ([], [3, 1, 5], [1, 1, 2], [-1, 4], [4, 20]):
+            with pytest.raises(ValueError, match="rows must be increasing"):
+                DecisionTreeRegressor(max_depth=2).fit_sorted(columns, y, rows=rows)
+
+    def test_width_mismatch_raises(self, rng):
+        X = rng.uniform(size=(60, 4))
+        tree = DecisionTreeRegressor(max_depth=3).fit(X, X[:, 3] - X[:, 0])
+        assert tree.n_features_in_ == 4
+        for width in (3, 8):
+            wrong = rng.uniform(size=(5, width))
+            with pytest.raises(ValueError, match="fitted on 4"):
+                tree.predict(wrong)
+            with pytest.raises(ValueError, match="fitted on 4"):
+                tree.apply(wrong)
 
 
 class TestScalers:
