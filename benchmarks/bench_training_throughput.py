@@ -9,8 +9,8 @@ paper's credit-dataset configuration, comparing:
   Python loop (one Gaussian draw per parameter).
 - **fused** — :class:`repro.privacy.DPSGD` today: clipping norms and clipped
   sums are computed from the factored per-example gradients (the dense arrays
-  are never materialised), and a single noise vector is drawn for the whole
-  flattened gradient.
+  are never materialised), the sums land in the optimizer's flat gradient,
+  and noise and the Adam update run in place over the parameter arena.
 
 Writes a JSON artifact to ``benchmarks/results/BENCH_training_throughput.json``
 and exits non-zero if the fused path is not at least ``--min-speedup`` times

@@ -3,8 +3,8 @@
 A checkpoint freezes *everything* the training loop would need to continue as
 if it had never stopped:
 
-- the live parameter values being optimised (restored **in place** on the
-  optimizer's parameter objects, so optimizer and model keep sharing them);
+- the live parameter values being optimised (written **in place** into the
+  optimizer's parameter arrays, so optimizer and model keep sharing them);
 - the optimizer's mutable buffers (`Adam` moments and step count, `DPSGD`
   steps taken + base-optimizer state + noise-RNG state);
 - the sampler RNG's bit-generator state (the models share one generator for
@@ -206,10 +206,11 @@ def latest_checkpoint(directory) -> Optional[Path]:
 def restore_trainer_state(trainer, checkpoint: Checkpoint) -> None:
     """Load ``checkpoint`` into a live trainer, mid-``fit``.
 
-    Parameter values are written in place on ``trainer.optimizer.params`` (the
-    same objects the model's networks hold), rather than through the model's
-    ``load_state_dict`` — which would rebuild the networks and silently orphan
-    the optimizer's parameter list.
+    Parameter values are written in place into the arrays of
+    ``trainer.optimizer.params`` (the same objects the model's networks hold,
+    whose ``data`` are views into the optimizer's arena), rather than through
+    the model's ``load_state_dict`` — which would rebuild the networks and
+    silently orphan the optimizer's parameter list.
     """
     manifest, state = checkpoint.manifest, checkpoint.state
     model_class = type(trainer.model).__name__
@@ -241,7 +242,7 @@ def restore_trainer_state(trainer, checkpoint: Checkpoint) -> None:
                 f"checkpoint parameter {i} has shape {value.shape}, the live "
                 f"parameter expects {p.data.shape}"
             )
-        p.data = value.copy()
+        p.data[...] = value
     try:
         trainer.optimizer.load_state_dict(_unpack(state, "optimizer."))
         for i, callback in enumerate(trainer.callbacks):

@@ -69,12 +69,15 @@ def grad_sample_mode():
     """Context manager enabling per-example gradient capture.
 
     Inside this context, parameter-consuming operations (``Tensor.affine``)
-    additionally populate ``param.grad_sample`` with a per-example gradient of
-    shape ``(batch, *param.shape)``.  The loss being differentiated must be a
-    sum over independent per-example terms for the captured values to be the
-    true per-example gradients (standard assumption of DP-SGD; the models in
-    this library never mix examples inside a batch).  Like :func:`no_grad`,
-    the mode is thread-local.
+    record ``param.grad_sample``, a per-example gradient of shape
+    ``(batch, *param.shape)`` kept in factored form, *instead of* the summed
+    ``param.grad``: DP-SGD clips and sums the per-example terms itself and
+    never reads the batch sum, so the backward pass does not form it.
+    Gradients flowing to the inputs are unchanged.  The loss being
+    differentiated must be a sum over independent per-example terms for the
+    captured values to be the true per-example gradients (standard assumption
+    of DP-SGD; the models in this library never mix examples inside a batch).
+    Like :func:`no_grad`, the mode is thread-local.
     """
     previous = is_grad_sample_enabled()
     _MODES.grad_sample_enabled = True
@@ -238,19 +241,27 @@ class Tensor:
             return None
         return (gs.reshape(gs.shape[0], -1) ** 2).sum(axis=1)
 
-    def clipped_grad_sum(self, scale: np.ndarray) -> np.ndarray:
+    def clipped_grad_sum(self, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``sum_b scale[b] * grad_sample[b]`` without materialising, if factored.
 
         For the outer-product factorisation the scaled sum collapses to a
-        single matrix product: ``(x * scale[:, None]).T @ g``.
+        single matrix product: ``(x * scale[:, None]).T @ g``.  The sum is
+        written into ``out``, an array of the parameter's shape (DP-SGD
+        passes the parameter's slice of its optimizer's flat gradient), and
+        returned.
         """
         if self._grad_sample is None and self._gs_factors and len(self._gs_factors) == 1:
             factor = self._gs_factors[0]
             if factor[0] == "outer":
                 _, x, g = factor
-                return (x * scale[:, None]).T @ g
-            return np.tensordot(scale, factor[1], axes=(0, 0))
-        return np.tensordot(scale, self.grad_sample, axes=(0, 0))
+                return np.matmul((x * scale[:, None]).T, g, out=out)
+            # np.tensordot(scale, g, axes=(0, 0)) is this one (1, B) @ (B, size)
+            # product; calling it directly lets it write into ``out``.
+            g = factor[1]
+            np.dot(scale.reshape(1, -1), g.reshape(len(g), -1), out=out.reshape(1, -1))
+            return out
+        out[...] = np.tensordot(scale, self.grad_sample, axes=(0, 0))
+        return out
 
     # -- graph construction helpers ------------------------------------------
 
@@ -530,7 +541,9 @@ class Tensor:
         ``(in_features, out_features)``.  When :func:`grad_sample_mode` is
         active, ``weight.grad_sample`` and ``bias.grad_sample`` receive
         per-example gradients of shape ``(batch, in, out)`` and
-        ``(batch, out)`` respectively — the hook DP-SGD uses for clipping.
+        ``(batch, out)`` respectively — the hook DP-SGD uses for clipping —
+        in place of the summed ``weight.grad`` and ``bias.grad``, which are
+        then never formed.
         """
         if self.data.ndim != 2:
             raise ValueError("affine expects a 2-D (batch, features) input")
@@ -541,16 +554,19 @@ class Tensor:
 
         def backward(grad):
             grad = np.asarray(grad)
+            per_example = is_grad_sample_enabled()
             if x.requires_grad:
                 x._accumulate(grad @ weight.data.T)
             if weight.requires_grad:
-                weight._accumulate(x.data.T @ grad)
-                if is_grad_sample_enabled():
+                if per_example:
                     weight._add_grad_sample_outer(x.data, grad)
+                else:
+                    weight._accumulate(x.data.T @ grad)
             if bias is not None and bias.requires_grad:
-                bias._accumulate(grad.sum(axis=0))
-                if is_grad_sample_enabled():
+                if per_example:
                     bias._add_grad_sample_direct(grad)
+                else:
+                    bias._accumulate(grad.sum(axis=0))
 
         parents = (x, weight) if bias is None else (x, weight, bias)
         return self._make(out_data, parents, backward)

@@ -30,7 +30,11 @@ __all__ = [
 
 
 class Parameter(Tensor):
-    """A tensor registered as a learnable parameter of a module."""
+    """A tensor registered as a learnable parameter of a module.
+
+    An optimizer makes ``data`` a view into its parameter arena (see
+    :mod:`repro.nn.optim`), so new values are written in place.
+    """
 
     def __init__(self, data):
         super().__init__(data, requires_grad=True)
@@ -99,6 +103,8 @@ class Module:
         return {f"param_{i}": p.data.copy() for i, p in enumerate(self.parameters())}
 
     def load_state_dict(self, state: dict) -> None:
+        """Write the values of :meth:`state_dict` into the parameters, in place
+        (a parameter's ``data`` may be a view into an optimizer's arena)."""
         params = list(self.parameters())
         if len(state) != len(params):
             raise ValueError(
@@ -110,7 +116,7 @@ class Module:
                 raise ValueError(
                     f"shape mismatch for parameter {i}: {value.shape} vs {p.data.shape}"
                 )
-            p.data = value.copy()
+            p.data[...] = value
 
     # -- call protocol ----------------------------------------------------------------
 

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.optim import Optimizer
+from repro.nn.optim import BLOCK, Optimizer
 from repro.privacy.accounting.p3gm_accountant import P3GMAccountant
 from repro.privacy.clipping import per_example_scale_factors
 from repro.utils.rng import as_generator, dump_generator_state, restore_generator_state
@@ -46,8 +46,10 @@ class DPSGD:
         Probability that any given record participates in a batch (``B/N``);
         used only for privacy accounting.
     base_optimizer:
-        The :class:`repro.nn.Optimizer` over the same parameters that takes
-        the final step.
+        The :class:`repro.nn.Optimizer` that takes the final step.  Its
+        ``params`` must be ``params``, the same objects in the same order:
+        each clipped sum is written into that parameter's slice of the base
+        optimizer's flat gradient.
     """
 
     def __init__(
@@ -64,6 +66,14 @@ class DPSGD:
         self.params = list(params)
         if not self.params:
             raise ValueError("DPSGD received an empty parameter list")
+        base_params = base_optimizer.params
+        if len(base_params) != len(self.params) or any(
+            p is not q for p, q in zip(self.params, base_params)
+        ):
+            raise ValueError(
+                "DPSGD params must be base_optimizer.params, the same parameter "
+                "objects in the same order"
+            )
         check_positive(noise_multiplier, "noise_multiplier")
         check_positive(max_grad_norm, "max_grad_norm")
         check_positive(expected_batch_size, "expected_batch_size")
@@ -75,6 +85,7 @@ class DPSGD:
         self.sample_rate = sample_rate
         self.base_optimizer = base_optimizer
         self._rng = as_generator(rng)
+        self._noise = np.empty(min(BLOCK, base_optimizer.flat_grad.size))
         self.steps_taken = 0
         #: Diagnostics of the most recent step (read by
         #: :class:`repro.engine.MetricsCallback`): the mean per-example
@@ -95,14 +106,16 @@ class DPSGD:
         Must be called after a backward pass executed inside
         ``with grad_sample_mode():`` so every parameter has ``grad_sample``.
 
-        The clip→sum→noise→scale pipeline runs on the flattened full gradient:
-        per-example clipping norms are computed over the concatenation of all
-        parameters (from the factored per-example gradients when available, so
-        the dense ``(batch, *param_shape)`` arrays are never materialised),
-        the clipped per-example gradients are summed by a single contraction
-        per parameter, and one Gaussian noise vector is drawn for the whole
-        concatenated gradient before unflattening into parameter views.
+        The clip→sum→noise→scale pipeline runs on the base optimizer's flat
+        gradient: per-example clipping norms are computed over the
+        concatenation of all parameters (from the factored per-example
+        gradients when available, so the dense ``(batch, *param_shape)``
+        arrays are never materialised), each parameter's clipped sum is one
+        contraction written straight into its slice of the flat gradient,
+        and the Gaussian noise is drawn, added and averaged in place over
+        fixed blocks of that one vector (see :meth:`_release`).
         """
+        self.base_optimizer.check_arena()
         squared_norms = None
         for index, p in enumerate(self.params):
             if not p.has_grad_sample():
@@ -123,11 +136,12 @@ class DPSGD:
                 squared_norms = squared_norms + contribution
 
         scale = per_example_scale_factors(squared_norms, self.max_grad_norm)
-        flat = np.concatenate([p.clipped_grad_sum(scale).ravel() for p in self.params])
+        for p, out in zip(self.params, self.base_optimizer.grad_views):
+            p.clipped_grad_sum(scale, out=out)
         norms = np.sqrt(squared_norms)
         self.last_grad_norm = float(norms.mean())
         self.last_clip_fraction = float(np.mean(norms > self.max_grad_norm))
-        self._release(flat)
+        self._release()
 
     def noise_step(self) -> None:
         """The step of an empty Poisson draw: Gaussian noise alone.
@@ -137,22 +151,31 @@ class DPSGD:
         sum, divides by the expected batch size, applies the result through
         the base optimizer, and counts as a step taken.
         """
+        self.base_optimizer.check_arena()
         self.last_grad_norm = self.last_clip_fraction = None
-        self._release(np.zeros(sum(p.size for p in self.params)))
+        self.base_optimizer.flat_grad.fill(0.0)
+        self._release()
 
-    def _release(self, flat: np.ndarray) -> None:
-        """Noise a flat clipped-gradient sum, average it, and apply it."""
-        flat = flat + self._rng.normal(
-            0.0, self.noise_multiplier * self.max_grad_norm, size=flat.shape
-        )
-        flat /= self.expected_batch_size
+    def _release(self) -> None:
+        """Noise the clipped sum in the base optimizer's flat gradient, average it, apply it.
 
-        private_grads, offset = [], 0
-        for p in self.params:
-            private_grads.append(flat[offset : offset + p.size].reshape(p.shape))
-            offset += p.size
-
-        self.base_optimizer.apply_gradients(private_grads)
+        Block by block, in place: draw ``z``, form ``sigma * C * z + 0.0`` —
+        the operations ``Generator.normal(0.0, sigma * C)`` applies to each
+        draw, so the stream and every bit (the sign of zero included) match
+        one full-size ``normal`` call — add it to the sum and divide by the
+        expected batch size.
+        """
+        grad = self.base_optimizer.flat_grad
+        std = self.noise_multiplier * self.max_grad_norm
+        for start in range(0, grad.size, BLOCK):
+            block = grad[start : start + BLOCK]
+            noise = self._noise[: len(block)]
+            self._rng.standard_normal(out=noise)
+            np.multiply(noise, std, out=noise)
+            np.add(noise, 0.0, out=noise)
+            np.add(block, noise, out=block)
+            np.divide(block, self.expected_batch_size, out=block)
+        self.base_optimizer.apply_gradients(self.base_optimizer.grad_views)
         self.steps_taken += 1
         self.zero_grad()
 

@@ -8,7 +8,7 @@ import pytest
 from repro.engine import Callback, HistoryLogger, PoissonSampler, PrivacyBudgetTracker
 from repro.engine import ShuffleSampler, Trainer
 from repro.models import DPVAE, P3GM, PGM, VAE
-from repro.nn import SGD, Adam
+from repro.nn import SGD, Adam, Optimizer
 from repro.privacy import DPSGD
 from repro.privacy.accounting import P3GMAccountant
 
@@ -249,3 +249,41 @@ class TestTrainerMechanics:
             source = inspect.getsource(module)
             assert "_train_loop" not in source
             assert "_optimization_step" not in source
+
+
+class TestStepZero:
+    """A private step never forms the summed gradient DP-SGD discards."""
+
+    @pytest.mark.parametrize("model_cls", [P3GM, DPVAE])
+    def test_parameter_grads_stay_none_through_private_steps(
+        self, model_cls, toy_unlabeled_data, monkeypatch
+    ):
+        model = model_cls(latent_dim=2, hidden=(8,), epochs=1, batch_size=5, random_state=0)
+        data = model._attach_labels(toy_unlabeled_data[:40], None)
+        model.n_input_features_ = data.shape[1]
+        loss_fn = model._prepare_training(data)
+        params = list(model._parameters())
+        optimizer = model._make_optimizer(len(data))
+        seen = []
+
+        apply_gradients = Optimizer.apply_gradients
+
+        def spy(self, grads):
+            # Mid-step: after the backward pass, the clip and the noise.
+            seen.append(("apply", [p.grad for p in params]))
+            return apply_gradients(self, grads)
+
+        monkeypatch.setattr(Optimizer, "apply_gradients", spy)
+
+        class AfterStep(Callback):
+            def on_step_end(self, trainer, model, step, logs):
+                seen.append(("after", [p.grad for p in params]))
+
+        trainer = Trainer(
+            model, optimizer, BatchThenEmptySampler(0.1, 2), callbacks=[AfterStep()],
+            rng=model._rng,
+        )
+        trainer.fit(len(data), 1, loss_fn)
+        assert optimizer.steps_taken == 2  # one batch step, one noise_step
+        assert [kind for kind, _ in seen] == ["apply", "after"] * 2
+        assert all(grad is None for _, grads in seen for grad in grads)

@@ -213,9 +213,14 @@ class TestAffinePerExampleGradients:
             np.testing.assert_allclose(w.grad_sample[i], wi.grad, atol=1e-10)
             np.testing.assert_allclose(b.grad_sample[i], bi.grad, atol=1e-10)
 
-        # Aggregate grad equals the sum of per-example gradients.
-        np.testing.assert_allclose(w.grad, w.grad_sample.sum(axis=0), atol=1e-10)
-        np.testing.assert_allclose(b.grad, b.grad_sample.sum(axis=0), atol=1e-10)
+        # The per-example gradients sum to the aggregate gradient of a plain
+        # backward on the same inputs (grad-sample mode does not form .grad).
+        assert w.grad is None and b.grad is None
+        w_plain = Tensor(W, requires_grad=True)
+        b_plain = Tensor(bvec, requires_grad=True)
+        (Tensor(X).affine(w_plain, b_plain) ** 2).sum().backward()
+        np.testing.assert_allclose(w_plain.grad, w.grad_sample.sum(axis=0), atol=1e-10)
+        np.testing.assert_allclose(b_plain.grad, b.grad_sample.sum(axis=0), atol=1e-10)
 
     def test_grad_sample_disabled_by_default(self):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -249,7 +254,7 @@ class TestFactoredGradSample:
         w, b = self._backward()
         scale = np.random.default_rng(0).uniform(0.1, 1.0, size=7)
         for p in (w, b):
-            fast = p.clipped_grad_sum(scale)
+            fast = p.clipped_grad_sum(scale, np.empty(p.shape))
             assert p._grad_sample is None
             expected = np.tensordot(scale, p.grad_sample, axes=(0, 0))
             np.testing.assert_allclose(fast, expected, atol=1e-10)

@@ -1,5 +1,7 @@
 """Tests for the plain optimizers: update rules, gradient plumbing, state."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,49 @@ class TestApplyGradients:
         for p, original in zip(params, before):
             np.testing.assert_array_equal(p.data, original)
 
+    @pytest.mark.parametrize(
+        "make_optimizer, shapes, grad_shapes, index",
+        [
+            # Unchecked, Adam would rebind the (3,) parameter to a (4, 3) one.
+            (Adam, ((2, 3), (3,)), ((2, 3), (4, 3)), 1),
+            (lambda params: SGD(params, lr=0.5), ((2, 3), (3,)), ((2, 3), (2, 3)), 1),
+            # Unchecked, a (3,) gradient would broadcast across a (2, 3) weight.
+            (Adam, ((2, 3), (3,)), ((3,), (3,)), 0),
+            (lambda params: SGD(params, lr=0.5), ((2, 3), (3,)), ((3,), (3,)), 0),
+        ],
+    )
+    def test_shape_mismatch_raises_before_anything_is_written(
+        self, make_optimizer, shapes, grad_shapes, index
+    ):
+        params = make_params(shapes)
+        optimizer = make_optimizer(params)
+        before = [p.data.copy() for p in params]
+        state = optimizer.state_dict()
+        message = (
+            f"gradient {index} has shape {grad_shapes[index]}, "
+            f"parameter {index} has shape {shapes[index]}"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            optimizer.apply_gradients([np.ones(shape) for shape in grad_shapes])
+        for p, original in zip(params, before):
+            assert p.data.shape == original.shape
+            np.testing.assert_array_equal(p.data, original)
+        after = optimizer.state_dict()
+        assert sorted(after) == sorted(state)
+        assert all(np.array_equal(after[key], state[key]) for key in state)
+
+    def test_step_rejects_a_grad_of_the_wrong_shape(self):
+        params = make_params(((2, 3), (3,)))
+        before = [p.data.copy() for p in params]
+        optimizer = Adam(params)
+        params[0].grad = np.ones(3)
+        params[1].grad = np.ones(3)
+        with pytest.raises(ValueError, match=r"gradient 0 has shape \(3,\)"):
+            optimizer.step()
+        assert optimizer.state_dict()["t"] == 0
+        for p, original in zip(params, before):
+            np.testing.assert_array_equal(p.data, original)
+
     def test_generator_input_is_counted_correctly(self):
         optimizer = SGD(make_params(), lr=0.1)
         with pytest.raises(ValueError, match="refusing a partial update"):
@@ -48,10 +93,12 @@ class TestApplyGradients:
 
     def test_matching_gradients_apply(self):
         params = make_params()
+        before = [p.data.copy() for p in params]
         optimizer = SGD(params, lr=1.0)
         optimizer.apply_gradients([np.ones(p.data.shape) for p in params])
-        for p in params:
-            assert np.all(p.grad == 1.0)
+        for p, view, original in zip(params, optimizer.grad_views, before):
+            assert np.all(view == 1.0)
+            np.testing.assert_array_equal(p.data, original - 1.0)
 
 
 class TestSGDState:
@@ -107,7 +154,7 @@ class TestAdamState:
         run_steps(optimizer, 2)
         state = optimizer.state_dict()
         state["m.0"][:] = 123.0
-        assert not np.any(optimizer._m[0] == 123.0)
+        assert not np.any(optimizer.state_dict()["m.0"] == 123.0)
 
     def test_load_rejects_wrong_shape(self):
         optimizer = Adam(make_params())
@@ -123,3 +170,50 @@ class TestStatelessBase:
         run_steps(optimizer, 2)
         assert optimizer.state_dict() == {}
         optimizer.load_state_dict({})
+
+
+class TestArena:
+    """Parameters live in one arena; values must be written in place."""
+
+    def test_parameters_are_views_of_one_arena_in_order(self):
+        params = make_params(((3, 2), (2,), (4,)))
+        values = [p.data.copy() for p in params]
+        optimizer = SGD(params, lr=0.1)
+        arena = params[0].data.base
+        assert arena is not None and all(p.data.base is arena for p in params)
+        np.testing.assert_array_equal(arena, np.concatenate([v.ravel() for v in values]))
+        assert arena.size == optimizer.flat_grad.size
+
+    def test_in_place_writes_are_stepped(self):
+        params = make_params()
+        optimizer = SGD(params, lr=1.0)
+        params[1].data[...] = 5.0
+        optimizer.apply_gradients([np.zeros((3, 2)), np.ones(2)])
+        np.testing.assert_array_equal(params[1].data, [4.0, 4.0])
+
+    @pytest.mark.parametrize("make_optimizer", [Adam, lambda params: SGD(params, lr=0.1)])
+    def test_a_rebound_parameter_is_refused(self, make_optimizer):
+        params = make_params()
+        optimizer = make_optimizer(params)
+        params[0].data = params[0].data.copy()
+        with pytest.raises(RuntimeError, match=r"parameter 0 \(shape \(3, 2\)\) was rebound"):
+            optimizer.apply_gradients([np.ones((3, 2)), np.ones(2)])
+        params[1].grad = np.ones(2)
+        with pytest.raises(RuntimeError, match="rebound"):
+            optimizer.step()
+
+    def test_the_same_parameter_twice_is_refused(self):
+        params = make_params()
+        with pytest.raises(ValueError, match="more than once"):
+            SGD([params[0], params[1], params[0]])
+
+    def test_step_skips_parameters_without_a_gradient(self):
+        params = make_params()
+        before = [p.data.copy() for p in params]
+        optimizer = Adam(params, lr=0.1)
+        params[1].grad = np.ones(2)
+        optimizer.step()
+        np.testing.assert_array_equal(params[0].data, before[0])
+        assert not np.array_equal(params[1].data, before[1])
+        state = optimizer.state_dict()
+        assert int(state["t"]) == 1 and not state["m.0"].any() and state["m.1"].all()

@@ -144,6 +144,29 @@ class TestDPSGDMechanics:
         with pytest.raises(ValueError):
             DPSGD(params, 1.0, -1.0, 8, base_optimizer=base)
 
+    @pytest.mark.parametrize(
+        "reorder",
+        [
+            # Two same-shape (3, 3) parameters swapped: unchecked, each would
+            # silently receive the other's noised gradient.
+            lambda params: [params[2], params[1], params[0], params[3]],
+            lambda params: params[::-1],
+            lambda params: params[:-1],
+        ],
+    )
+    def test_params_must_be_the_base_optimizer_params_in_order(self, reorder):
+        params = list(MLP(3, (3,), 3, rng=0).parameters())
+        assert params[0].shape == params[2].shape == (3, 3)
+        base = SGD(reorder(params))
+        with pytest.raises(ValueError, match="base_optimizer.params"):
+            DPSGD(params, 1.0, 1.0, 8, base_optimizer=base)
+
+    def test_params_must_be_the_same_objects(self):
+        params = list(MLP(3, (3,), 3, rng=0).parameters())
+        twins = list(MLP(3, (3,), 3, rng=0).parameters())
+        with pytest.raises(ValueError, match="same parameter objects"):
+            DPSGD(params, 1.0, 1.0, 8, base_optimizer=SGD(twins))
+
     def test_base_optimizer_is_required(self):
         # There is no default base: the models always hand DP-SGD their Adam.
         model, _, _ = make_model_and_data()
@@ -182,7 +205,7 @@ class TestDPSGDState:
         model2, _, _ = make_model_and_data()
         opt2 = self.make_optimizer(list(model2.parameters()), rng=99)
         for p, value in zip(opt2.params, snapshot):
-            p.data = value.copy()
+            p.data[...] = value
         opt2.load_state_dict(state)
         assert opt2.steps_taken == 3
 
