@@ -27,9 +27,9 @@ aggregation, optimizer stepping, and callback dispatch.  The pieces:
 
 **Sampler choice vs. accounting assumptions.**  The one privacy accountant,
 :class:`~repro.privacy.accounting.P3GMAccountant`, accounts every DP-SGD step
-(for P3GM, and with DP-PCA and DP-EM switched off for DP-VAE and
-:class:`repro.privacy.DPSGD`) with the subsampled-Gaussian RDP bound, which
-analyzes *Poisson* subsampling: each record enters a batch independently with
+(for P3GM, and with DP-PCA and DP-EM switched off for DP-VAE; the
+:class:`repro.privacy.DPSGD` optimizer itself only counts its steps) with the
+subsampled-Gaussian RDP bound, which analyzes *Poisson* subsampling: each record enters a batch independently with
 probability ``B/N``.  Shuffle-and-partition batching executes a slightly
 different mechanism, so training with :class:`ShuffleSampler` makes the stated
 epsilon an approximation (a common but imprecise practice).  The private

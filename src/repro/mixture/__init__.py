@@ -2,12 +2,11 @@
 
 from repro.mixture.dp_em import DPGaussianMixture
 from repro.mixture.gmm import GaussianMixture
-from repro.mixture.kl import kl_diag_gaussian_pair, kl_gaussian_to_mog, kl_mog_mog_approx
+from repro.mixture.kl import kl_diag_gaussian_pair, kl_gaussian_to_mog
 
 __all__ = [
     "GaussianMixture",
     "DPGaussianMixture",
     "kl_gaussian_to_mog",
     "kl_diag_gaussian_pair",
-    "kl_mog_mog_approx",
 ]

@@ -1,28 +1,24 @@
 """KL divergences involving Gaussian mixtures.
 
-Two flavours are provided:
-
-- :func:`kl_gaussian_to_mog` — a *differentiable* (autograd Tensor) variational
-  upper-bound approximation of ``KL(N(mu, diag sigma^2) || MoG)``, following the
-  Hershey–Olsen matched-pair approximation the paper cites (Section IV-D).
-  For a single-component "mixture" on the left the approximation reduces to
-  ``-log sum_k pi_k exp(-KL(q || N_k))``.  This is the KL term of P3GM's
-  decoding-phase ELBO (Equation (8), second term).
-
-- :func:`kl_mog_mog_approx` — the same Hershey–Olsen approximation between two
-  arbitrary Gaussian mixtures, in plain numpy.  Used for diagnostics of the
-  Encoding-Phase objective (Equation (7)) and in tests.
+:func:`kl_gaussian_to_mog` is a *differentiable* (autograd Tensor) variational
+upper-bound approximation of ``KL(N(mu, diag sigma^2) || MoG)``, following the
+Hershey–Olsen matched-pair approximation the paper cites (Section IV-D).  For
+a single-component "mixture" on the left the approximation reduces to
+``-log sum_k pi_k exp(-KL(q || N_k))``.  This is the KL term of P3GM's
+decoding-phase ELBO (Equation (8), second term).
+:func:`kl_diag_gaussian_pair` is the closed-form KL between two diagonal
+Gaussians in plain numpy, the reference the tests check the Tensor terms
+against.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp as np_logsumexp
 
 from repro.nn import Tensor
 from repro.nn import functional as F
 
-__all__ = ["kl_gaussian_to_mog", "kl_diag_gaussian_pair", "kl_mog_mog_approx"]
+__all__ = ["kl_gaussian_to_mog", "kl_diag_gaussian_pair"]
 
 
 def kl_diag_gaussian_pair(mu_a, var_a, mu_b, var_b) -> float:
@@ -72,32 +68,3 @@ def kl_gaussian_to_mog(mu_q: Tensor, log_var_q: Tensor, weights, means, variance
     kl = -F.logsumexp(stacked, axis=1)
     # The approximation is an estimate of a non-negative quantity.
     return kl.relu()
-
-
-def kl_mog_mog_approx(weights_a, means_a, variances_a, weights_b, means_b, variances_b) -> float:
-    """Hershey–Olsen variational approximation of ``KL(MoG_a || MoG_b)`` (numpy).
-
-    Both mixtures use diagonal covariances.  Matches the expression quoted in
-    the paper (Section IV-D):
-
-    ``D(g||h) ~= sum_a pi_a log [ sum_a' pi_a' exp(-KL(N_a||N_a')) /
-                                   sum_b pi_b exp(-KL(N_a||N_b)) ]``
-    """
-    weights_a = np.asarray(weights_a, float)
-    weights_b = np.asarray(weights_b, float)
-    means_a, variances_a = np.asarray(means_a, float), np.asarray(variances_a, float)
-    means_b, variances_b = np.asarray(means_b, float), np.asarray(variances_b, float)
-
-    def pairwise_kl(mu_x, var_x, mu_y, var_y):
-        out = np.empty((len(mu_x), len(mu_y)))
-        for i in range(len(mu_x)):
-            for j in range(len(mu_y)):
-                out[i, j] = kl_diag_gaussian_pair(mu_x[i], var_x[i], mu_y[j], var_y[j])
-        return out
-
-    kl_aa = pairwise_kl(means_a, variances_a, means_a, variances_a)
-    kl_ab = pairwise_kl(means_a, variances_a, means_b, variances_b)
-
-    numerator = np_logsumexp(np.log(np.maximum(weights_a, 1e-12))[None, :] - kl_aa, axis=1)
-    denominator = np_logsumexp(np.log(np.maximum(weights_b, 1e-12))[None, :] - kl_ab, axis=1)
-    return float(np.sum(weights_a * (numerator - denominator)))

@@ -12,7 +12,6 @@ from repro.ml.linear import LogisticRegression
 from repro.ml.metrics import (
     accuracy_score,
     average_precision_score,
-    f1_score,
     precision_recall_curve,
     roc_auc_score,
     roc_curve,
@@ -34,7 +33,6 @@ __all__ = [
     "average_precision_score",
     "precision_recall_curve",
     "roc_curve",
-    "f1_score",
     "MinMaxScaler",
     "train_test_split",
 ]

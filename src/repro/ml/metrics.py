@@ -14,7 +14,6 @@ __all__ = [
     "average_precision_score",
     "precision_recall_curve",
     "roc_curve",
-    "f1_score",
 ]
 
 
@@ -105,17 +104,3 @@ def average_precision_score(y_true, y_score) -> float:
     precision, recall, _ = precision_recall_curve(y_true, y_score)
     # precision/recall are ordered by increasing threshold (recall decreasing).
     return float(-np.sum(np.diff(recall) * precision[:-1]))
-
-
-def f1_score(y_true, y_pred) -> float:
-    """Harmonic mean of precision and recall for binary predictions."""
-    y_true = np.asarray(y_true).astype(int)
-    y_pred = np.asarray(y_pred).astype(int)
-    tp = int(np.sum((y_true == 1) & (y_pred == 1)))
-    fp = int(np.sum((y_true == 0) & (y_pred == 1)))
-    fn = int(np.sum((y_true == 1) & (y_pred == 0)))
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return float(2 * precision * recall / (precision + recall))

@@ -170,9 +170,9 @@ class LabelEncodingMixin:
     def _attach_labels(self, X: np.ndarray, y) -> np.ndarray:
         """Concatenate a (possibly replicated) one-hot label block to ``X``.
 
-        The encoding itself is the shared :class:`repro.transforms.OneHotCategorical`
-        — the same transform mixed-type table preprocessing uses — so label
-        handling and column encoding cannot drift apart.
+        The classes are those of ``y``, and the block is
+        :meth:`_with_label_block`'s, the one the fitted model is also
+        evaluated with.
         """
         from repro.transforms import OneHotCategorical
 
@@ -187,12 +187,11 @@ class LabelEncodingMixin:
         if len(y) != len(X):
             raise ValueError("X and y have inconsistent lengths")
         self._label_repeat = max(1, int(getattr(self, "label_repeat", 1)))
-        encoder = OneHotCategorical().fit(y)
-        onehot = encoder.transform(y)
-        self._classes = encoder.categories_
+        self._classes = OneHotCategorical().fit(y).categories_
         self._n_classes = len(self._classes)
-        self._label_ratio = onehot.mean(axis=0)
-        return np.hstack([X, np.tile(onehot, (1, self._label_repeat))])
+        data = self._with_label_block(X, y)
+        self._label_ratio = data[:, X.shape[1] : X.shape[1] + self._n_classes].mean(axis=0)
+        return data
 
     def _label_block_width(self) -> int:
         return self._n_classes * self._label_repeat
@@ -203,44 +202,27 @@ class LabelEncodingMixin:
             np.asarray(rows), self._n_classes, self._label_repeat
         )
 
-    def _label_columns(self) -> np.ndarray:
-        """Column index of every class's replicated one-hot slot, cached.
-
-        Shape ``(n_classes, label_repeat)``: row ``c`` lists the columns that
-        carry a one for class ``c`` across the block's repeats.  Computed once
-        per fitted layout (keyed on the label/feature widths, so refitting or
-        reloading with a different shape rebuilds it) instead of re-deriving
-        the block on every call.
-        """
-        key = (self._n_classes, self._label_repeat, int(self.n_input_features_))
-        cached = getattr(self, "_label_columns_cache", None)
-        if cached is None or cached[0] != key:
-            feature_width = key[2] - self._label_block_width()
-            columns = (
-                feature_width
-                + np.arange(self._label_repeat)[None, :] * self._n_classes
-                + np.arange(self._n_classes)[:, None]
-            )
-            cached = (key, columns)
-            self._label_columns_cache = cached
-        return cached[1]
-
     def _with_label_block(self, X: np.ndarray, y) -> np.ndarray:
-        """``X`` with the replicated one-hot block for ``y``, filled in place.
+        """``X`` with the replicated one-hot block of labels ``y`` appended.
 
-        One output allocation: features are copied in, the block columns are
-        zeroed, and each row's class slots are scattered to one through the
-        precomputed :meth:`_label_columns` layout — no per-call ``np.zeros``
-        + ``np.tile`` + ``np.hstack`` temporaries.  Values are identical to
-        the historical rebuild.
+        The encoding is the shared :class:`repro.transforms.OneHotCategorical`
+        over the training classes — the transform mixed-type table
+        preprocessing uses — so label handling and column encoding cannot
+        drift apart.  A label outside the training classes raises
+        ``ValueError`` (the one-hot codec would snap a numeric one to its
+        nearest class).
         """
-        X = np.asarray(X, dtype=np.float64)
-        data = np.empty((len(X), int(self.n_input_features_)))
-        data[:, : X.shape[1]] = X
-        data[:, X.shape[1]:] = 0.0
-        indices = np.searchsorted(self._classes, np.asarray(y))
-        data[np.arange(len(X))[:, None], self._label_columns()[indices]] = 1.0
-        return data
+        from repro.transforms import OneHotCategorical
+
+        y = np.asarray(y)
+        unknown = ~np.isin(y, self._classes)
+        if unknown.any():
+            raise ValueError(
+                f"labels {np.unique(y[unknown]).tolist()} are not among the "
+                f"training classes {self._classes.tolist()}"
+            )
+        onehot = OneHotCategorical(self._classes).transform(y)
+        return np.hstack([X, np.tile(onehot, (1, self._label_repeat))])
 
     @property
     def n_feature_columns(self) -> int:

@@ -190,13 +190,12 @@ class DPSGDMixin:
         return super()._prepare_training(data)
 
     def _make_optimizer(self, n_samples: int) -> DPSGD:
-        batch_size, sample_rate, _ = self._dp_sgd_schedule(n_samples)
+        batch_size, _, _ = self._dp_sgd_schedule(n_samples)
         return DPSGD(
             list(self._parameters()),
             noise_multiplier=self.accountant_.sigma_sgd,
             max_grad_norm=self.max_grad_norm,
             expected_batch_size=batch_size,
-            sample_rate=sample_rate,
             base_optimizer=super()._make_optimizer(n_samples),
             rng=self._rng,
         )

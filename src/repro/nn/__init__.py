@@ -2,9 +2,11 @@
 
 This package stands in for PyTorch in the original P3GM implementation.  It
 provides reverse-mode autodiff (:mod:`repro.nn.autograd`), layers
-(:mod:`repro.nn.layers`), functional losses (:mod:`repro.nn.functional`) and
-optimizers (:mod:`repro.nn.optim`), plus per-example gradient capture needed
-by DP-SGD.
+(:mod:`repro.nn.layers`), the models' losses and KL terms
+(:mod:`repro.nn.functional`) and optimizers (:mod:`repro.nn.optim`), plus
+per-example gradient capture needed by DP-SGD.  It holds only what the
+models run: bias-carrying ReLU/sigmoid MLPs, Kaiming initialisation, and the
+tape ops their objectives use.
 """
 
 from repro.nn import functional, inference

@@ -7,9 +7,10 @@ dynamically built computation graph, full broadcasting support, and a
 per-example gradient mode (``grad_sample``) required by DP-SGD's per-example
 clipping (see :mod:`repro.privacy.dp_sgd`).
 
-Only the operations the models need are implemented, but each supports
-arbitrary batch shapes and broadcasting, and each is covered by numerical
-gradient checks in ``tests/nn/test_autograd.py``.
+Only the operations the models run are implemented, and
+``tests/nn/test_op_inventory.py`` fails when the models stop reaching one.
+Each supports arbitrary batch shapes and broadcasting, and each is covered by
+numerical gradient checks in ``tests/nn/test_autograd.py``.
 """
 
 from __future__ import annotations
@@ -157,10 +158,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but outside the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         """Clear accumulated gradients (both aggregate and per-example)."""
         self.grad = None
@@ -278,11 +275,10 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        # Stored without a copy: no backward writes into a gradient, and a
+        # second one is added out of place, so nodes sharing an array stay apart.
         grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
-        if self.grad is None:
-            self.grad = grad.copy()
-        else:
-            self.grad = self.grad + grad
+        self.grad = grad if self.grad is None else self.grad + grad
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -344,9 +340,6 @@ class Tensor:
 
         return self._make(self.data / other.data, (self, other), backward)
 
-    def __rtruediv__(self, other):
-        return self._promote(other) / self
-
     def __pow__(self, exponent: float):
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
@@ -356,17 +349,6 @@ class Tensor:
                 self._accumulate(grad * exponent * self.data ** (exponent - 1))
 
         return self._make(self.data**exponent, (self,), backward)
-
-    def __matmul__(self, other):
-        other = self._promote(other)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad @ other.data.T)
-            if other.requires_grad:
-                other._accumulate(self.data.T @ grad)
-
-        return self._make(self.data @ other.data, (self, other), backward)
 
     # -- elementwise nonlinearities -------------------------------------------
 
@@ -386,24 +368,6 @@ class Tensor:
 
         return self._make(np.log(self.data), (self,), backward)
 
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * 0.5 / out_data)
-
-        return self._make(out_data, (self,), backward)
-
-    def tanh(self):
-        out_data = np.tanh(self.data)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - out_data**2))
-
-        return self._make(out_data, (self,), backward)
-
     def sigmoid(self):
         out_data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -500, 500)))
 
@@ -421,17 +385,6 @@ class Tensor:
                 self._accumulate(grad * mask)
 
         return self._make(self.data * mask, (self,), backward)
-
-    def softplus(self):
-        # Numerically stable softplus: log(1 + exp(x)) = max(x, 0) + log1p(exp(-|x|))
-        out_data = np.maximum(self.data, 0.0) + np.log1p(np.exp(-np.abs(self.data)))
-        sig = 1.0 / (1.0 + np.exp(-np.clip(self.data, -500, 500)))
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * sig)
-
-        return self._make(out_data, (self,), backward)
 
     def clip(self, low: float, high: float):
         """Clamp values to ``[low, high]``; gradient is passed only inside."""
@@ -466,22 +419,6 @@ class Tensor:
             count = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def max(self, axis=None, keepdims: bool = False):
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad):
-            if not self.requires_grad:
-                return
-            g = np.asarray(grad)
-            expanded = self.data.max(axis=axis, keepdims=True)
-            mask = (self.data == expanded).astype(np.float64)
-            mask = mask / mask.sum(axis=axis, keepdims=True)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis=axis)
-            self._accumulate(mask * g)
-
-        return self._make(out_data, (self,), backward)
-
     # -- shape manipulation -----------------------------------------------------
 
     def reshape(self, *shape):
@@ -494,14 +431,6 @@ class Tensor:
                 self._accumulate(np.asarray(grad).reshape(original))
 
         return self._make(self.data.reshape(shape), (self,), backward)
-
-    @property
-    def T(self):
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(np.asarray(grad).T)
-
-        return self._make(self.data.T, (self,), backward)
 
     def __getitem__(self, index):
         def backward(grad):
@@ -534,7 +463,7 @@ class Tensor:
 
     # -- parameterised affine op (per-example gradient aware) -------------------
 
-    def affine(self, weight: "Tensor", bias: Optional["Tensor"] = None) -> "Tensor":
+    def affine(self, weight: "Tensor", bias: "Tensor") -> "Tensor":
         """Compute ``self @ weight + bias`` with per-example gradient capture.
 
         ``self`` must be of shape ``(batch, in_features)``; ``weight`` of shape
@@ -548,9 +477,7 @@ class Tensor:
         if self.data.ndim != 2:
             raise ValueError("affine expects a 2-D (batch, features) input")
         x = self
-        out_data = x.data @ weight.data
-        if bias is not None:
-            out_data = out_data + bias.data
+        out_data = x.data @ weight.data + bias.data
 
         def backward(grad):
             grad = np.asarray(grad)
@@ -562,28 +489,28 @@ class Tensor:
                     weight._add_grad_sample_outer(x.data, grad)
                 else:
                     weight._accumulate(x.data.T @ grad)
-            if bias is not None and bias.requires_grad:
+            if bias.requires_grad:
                 if per_example:
                     bias._add_grad_sample_direct(grad)
                 else:
                     bias._accumulate(grad.sum(axis=0))
 
-        parents = (x, weight) if bias is None else (x, weight, bias)
-        return self._make(out_data, parents, backward)
+        return self._make(out_data, (x, weight, bias), backward)
 
     # -- backward pass -----------------------------------------------------------
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Run reverse-mode differentiation from this tensor.
 
-        ``grad`` defaults to ones (appropriate for scalar losses).
+        ``grad`` defaults to ones (appropriate for scalar losses); a given
+        ``grad`` is copied, so the graph never shares the caller's array.
         """
         if not self.requires_grad:
             raise RuntimeError("called backward on a tensor that does not require grad")
         if grad is None:
             grad = np.ones_like(self.data)
         else:
-            grad = np.asarray(grad, dtype=np.float64)
+            grad = np.array(grad, dtype=np.float64)
 
         # Topological order of the graph reachable from self.
         topo: list[Tensor] = []

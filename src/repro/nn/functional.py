@@ -12,19 +12,10 @@ import numpy as np
 from repro.nn.autograd import Tensor
 
 __all__ = [
-    "relu",
-    "sigmoid",
-    "tanh",
-    "softplus",
-    "exp",
-    "log",
     "logsumexp",
     "softmax",
     "log_softmax",
     "binary_cross_entropy",
-    "binary_cross_entropy_with_logits",
-    "mse_loss",
-    "gaussian_nll",
     "kl_standard_normal",
     "kl_diag_gaussians",
     "cross_entropy",
@@ -37,31 +28,7 @@ def _t(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-# -- activations -------------------------------------------------------------
-
-
-def relu(x: Tensor) -> Tensor:
-    return _t(x).relu()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return _t(x).sigmoid()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return _t(x).tanh()
-
-
-def softplus(x: Tensor) -> Tensor:
-    return _t(x).softplus()
-
-
-def exp(x: Tensor) -> Tensor:
-    return _t(x).exp()
-
-
-def log(x: Tensor) -> Tensor:
-    return _t(x).log()
+# -- softmax family --------------------------------------------------------------
 
 
 def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
@@ -97,45 +64,6 @@ def binary_cross_entropy(
     probs = _t(probs).clip(_EPS, 1.0 - _EPS)
     targets = _t(targets)
     loss = -(targets * probs.log() + (1.0 - targets) * (1.0 - probs).log())
-    return _reduce(loss, reduction, axis)
-
-
-def binary_cross_entropy_with_logits(
-    logits: Tensor, targets, reduction: str = "mean", axis=None
-) -> Tensor:
-    """Numerically stable BCE on logits:  max(x,0) - x*t + log(1+exp(-|x|))."""
-    logits = _t(logits)
-    targets = _t(targets)
-    loss = logits.relu() - logits * targets + (-abs_tensor(logits)).softplus()
-    return _reduce(loss, reduction, axis)
-
-
-def abs_tensor(x: Tensor) -> Tensor:
-    """Differentiable absolute value (subgradient 0 at the origin)."""
-    x = _t(x)
-    sign = Tensor(np.sign(x.data))
-    return x * sign
-
-
-def mse_loss(pred: Tensor, target, reduction: str = "mean", axis=None) -> Tensor:
-    pred = _t(pred)
-    target = _t(target)
-    loss = (pred - target) ** 2
-    return _reduce(loss, reduction, axis)
-
-
-def gaussian_nll(
-    mean: Tensor, log_var: Tensor, target, reduction: str = "mean", axis=None
-) -> Tensor:
-    """Negative log-likelihood of ``target`` under ``N(mean, exp(log_var))``."""
-    mean = _t(mean)
-    log_var = _t(log_var)
-    target = _t(target)
-    loss = 0.5 * (
-        log_var
-        + (target - mean) ** 2 / log_var.exp()
-        + float(np.log(2.0 * np.pi))
-    )
     return _reduce(loss, reduction, axis)
 
 

@@ -208,8 +208,7 @@ class CompiledForward:
                     target = buffers[next_buffer]
                     next_buffer += 1
                 np.dot(h, op.weight.data, out=target)
-                if op.bias is not None:
-                    target += op.bias.data
+                target += op.bias.data
                 h = target
                 owned = True
             else:

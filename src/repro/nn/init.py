@@ -6,40 +6,17 @@ import numpy as np
 
 from repro.utils.rng import as_generator
 
-__all__ = ["xavier_uniform", "kaiming_uniform", "normal", "zeros"]
-
-
-def xavier_uniform(shape, rng=None, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation for a (fan_in, fan_out) matrix."""
-    rng = as_generator(rng)
-    fan_in, fan_out = _fans(shape)
-    limit = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+__all__ = ["kaiming_uniform", "zeros"]
 
 
 def kaiming_uniform(shape, rng=None) -> np.ndarray:
-    """He/Kaiming uniform initialisation, suited to ReLU networks."""
+    """He/Kaiming uniform initialisation of a ``(fan_in, fan_out)`` matrix,
+    suited to ReLU networks."""
     rng = as_generator(rng)
-    fan_in, _ = _fans(shape)
-    limit = np.sqrt(6.0 / fan_in)
+    limit = np.sqrt(6.0 / shape[0])
     return rng.uniform(-limit, limit, size=shape)
 
 
-def normal(shape, rng=None, std: float = 0.01) -> np.ndarray:
-    """Small Gaussian initialisation."""
-    rng = as_generator(rng)
-    return rng.normal(0.0, std, size=shape)
-
-
-def zeros(shape, rng=None) -> np.ndarray:
+def zeros(shape) -> np.ndarray:
     """All-zero initialisation (used for biases)."""
     return np.zeros(shape)
-
-
-def _fans(shape) -> tuple[int, int]:
-    if len(shape) == 1:
-        return shape[0], shape[0]
-    if len(shape) == 2:
-        return shape[0], shape[1]
-    receptive = int(np.prod(shape[2:]))
-    return shape[1] * receptive, shape[0] * receptive

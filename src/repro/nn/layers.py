@@ -130,13 +130,13 @@ class Module:
 class Linear(Module):
     """Fully connected layer ``y = x W + b`` with per-example gradient support."""
 
-    def __init__(self, in_features: int, out_features: int, bias: bool = True, rng=None):
+    def __init__(self, in_features: int, out_features: int, rng=None):
         super().__init__()
         rng = as_generator(rng)
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(init_module.kaiming_uniform((in_features, out_features), rng))
-        self.bias = Parameter(init_module.zeros(out_features)) if bias else None
+        self.bias = Parameter(init_module.zeros(out_features))
 
     def forward(self, x: Tensor) -> Tensor:
         x = x if isinstance(x, Tensor) else Tensor(x)

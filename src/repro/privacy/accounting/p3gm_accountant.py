@@ -11,12 +11,12 @@ with ``eps_rs`` the subsampled-Gaussian RDP of one DP-SGD step and
 minimised over the orders in :data:`ORDERS`.
 
 This is the package's only accountant.  DP-SGD on its own (DP-VAE, DP-GM's
-per-cluster DP-VAEs, :meth:`repro.privacy.DPSGD.privacy_spent`) is the same
-composition with DP-PCA and DP-EM switched off (``epsilon_pca=0,
-em_iterations=0``).  The accountant is an immutable value: calibration
-searches for the noise scale that meets a target ``epsilon`` — this is how
-the experiments pick hyper-parameters "such that ``epsilon = 1`` holds" — and
-callers build the calibrated accountant with :func:`dataclasses.replace`.
+per-cluster DP-VAEs) is the same composition with DP-PCA and DP-EM switched
+off (``epsilon_pca=0, em_iterations=0``).  The accountant is an immutable
+value: calibration searches for the noise scale that meets a target
+``epsilon`` — this is how the experiments pick hyper-parameters "such that
+``epsilon = 1`` holds" — and callers build the calibrated accountant with
+:func:`dataclasses.replace`.
 The zCDP + MA baseline of Figure 6 is reported from the same fields.
 """
 

@@ -7,9 +7,10 @@ adds Gaussian noise ``N(0, sigma^2 C^2 I)`` and averages over the (expected)
 batch size, then delegates the descent step to a wrapped base optimizer
 (the models wrap Adam).
 
-A :class:`DPSGD` instance also tracks the number of noisy steps it has taken so
-callers can query the privacy spent through the Theorem-4 accountant with
-DP-PCA and DP-EM switched off.
+A :class:`DPSGD` instance counts the noisy steps it has taken; it does no
+accounting of its own.  The privacy a fit spends is the model's Theorem-4
+:class:`~repro.privacy.accounting.P3GMAccountant` (``accountant_``), which
+analyses every step of the run, noise-only steps included.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from typing import Optional
 import numpy as np
 
 from repro.nn.optim import BLOCK, Optimizer
-from repro.privacy.accounting.p3gm_accountant import P3GMAccountant
 from repro.privacy.clipping import per_example_scale_factors
 from repro.utils.rng import as_generator, dump_generator_state, restore_generator_state
-from repro.utils.validation import check_positive, check_probability
+from repro.utils.validation import check_positive
 
 __all__ = ["DPSGD"]
 
@@ -42,9 +42,6 @@ class DPSGD:
     expected_batch_size:
         ``B``; the noisy gradient sum is divided by this value, matching
         Algorithm 1 line 10 in the paper.
-    sample_rate:
-        Probability that any given record participates in a batch (``B/N``);
-        used only for privacy accounting.
     base_optimizer:
         The :class:`repro.nn.Optimizer` that takes the final step.  Its
         ``params`` must be ``params``, the same objects in the same order:
@@ -58,7 +55,6 @@ class DPSGD:
         noise_multiplier: float,
         max_grad_norm: float,
         expected_batch_size: int,
-        sample_rate: Optional[float] = None,
         *,
         base_optimizer: Optimizer,
         rng=None,
@@ -77,12 +73,9 @@ class DPSGD:
         check_positive(noise_multiplier, "noise_multiplier")
         check_positive(max_grad_norm, "max_grad_norm")
         check_positive(expected_batch_size, "expected_batch_size")
-        if sample_rate is not None:
-            check_probability(sample_rate, "sample_rate")
         self.noise_multiplier = noise_multiplier
         self.max_grad_norm = max_grad_norm
         self.expected_batch_size = int(expected_batch_size)
-        self.sample_rate = sample_rate
         self.base_optimizer = base_optimizer
         self._rng = as_generator(rng)
         self._noise = np.empty(min(BLOCK, base_optimizer.flat_grad.size))
@@ -213,21 +206,3 @@ class DPSGD:
         self.steps_taken = int(state["steps_taken"])
         restore_generator_state(self._rng, str(state["rng_state"]))
         return self
-
-    # -- accounting -----------------------------------------------------------------
-
-    def privacy_spent(self, delta: float, steps: Optional[int] = None) -> float:
-        """Epsilon spent after ``steps`` (default: steps taken so far)."""
-        if self.sample_rate is None:
-            raise ValueError("sample_rate must be provided to account privacy")
-        steps = self.steps_taken if steps is None else steps
-        if steps == 0:
-            return 0.0
-        accountant = P3GMAccountant(
-            epsilon_pca=0.0,
-            em_iterations=0,
-            sigma_sgd=self.noise_multiplier,
-            sample_rate=self.sample_rate,
-            sgd_steps=steps,
-        )
-        return accountant.epsilon(delta)

@@ -710,44 +710,33 @@ class _SynthesisRequestHandler(BaseHTTPRequestHandler):
     def _open_stream(self, ref: str, request, labeled: bool):
         """Resolve the artifact and build the chunk iterator, all eagerly.
 
-        Returns ``(iterator, names)`` where ``names`` are the CSV header
-        fields.  Raises :class:`ProtocolError` for every failure, so by the
-        time headers go out the stream can only fail on a dead socket or a
-        genuine bug — never on a bad request.
+        Returns ``(iterator, names)`` from
+        :meth:`~repro.serving.SynthesisService.open_release`, ``names`` being
+        the CSV header fields.  Raises :class:`ProtocolError` for every
+        failure, so by the time headers go out the stream can only fail on a
+        dead socket or a genuine bug — never on a bad request.
         """
         service = self.server.service
         try:
             service.resolve(ref)
         except ArtifactError as error:
             raise ProtocolError("not_found", str(error))
+        seed = request.seed
+        if seed is None:
+            seed = self.server.next_request_seed()
         try:
-            transformer = service.transformer(ref)
-            original = transformer is not None and not request.model_space
-            seed = request.seed
-            if seed is None:
-                seed = self.server.next_request_seed()
-            stream = (service.stream_labeled if labeled else service.stream)(
+            return service.open_release(
                 ref,
                 request.n_samples,
+                labeled=labeled,
                 seed=seed,
                 chunk_size=request.chunk_size,
-                original_space=original,
+                model_space=request.model_space,
             )
         except ArtifactError as error:
             raise ProtocolError("artifact_error", str(error))
         except ValueError as error:
             raise ProtocolError("invalid_request", str(error))
-        if original:
-            names = list(transformer.schema.names)
-        else:
-            model = service.get(ref)
-            width = getattr(model, "n_feature_columns", None) if labeled else None
-            if width is None:
-                width = int(model.n_input_features_)
-            names = [f"feature_{index}" for index in range(width)]
-        if labeled:
-            names = names + ["label"]
-        return stream, names
 
     def _do_sample(self, ref: str, labeled: bool):
         request = parse_sample_request(self._read_body(), self.server.max_rows)

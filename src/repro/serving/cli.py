@@ -10,7 +10,9 @@ Subcommands
   bounded-memory chunks (``-n 10_000_000`` never builds one dense array).
   Artifacts released with a transformer emit **original-space** rows — real
   category labels and raw numeric ranges — by default (``--model-space``
-  opts out).
+  opts out).  The file is byte for byte the body ``serve`` returns for the
+  same ``POST .../sample`` with ``"format": "csv"``: exact (shortest
+  round-trip) floats, model-space columns named ``feature_i``.
 - ``evaluate`` — run the paper's utility protocol (classifiers trained on
   synthetic data, tested on real data) against a released artifact.
 - ``inspect``  — print an artifact's manifest, including the ``(epsilon,
@@ -59,8 +61,6 @@ import threading
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 from repro.datasets import load_dataset
 from repro.serving.artifacts import (
     ArtifactError,
@@ -71,7 +71,7 @@ from repro.serving.artifacts import (
 )
 from repro.serving.registry import get_model_spec, registered_synthesizers
 from repro.serving.service import DEFAULT_CHUNK_SIZE, SynthesisService
-from repro.transforms import TableSchema, TableTransformer, read_csv, write_csv
+from repro.transforms import TableSchema, TableTransformer, read_csv
 
 __all__ = ["main", "build_parser"]
 
@@ -378,55 +378,42 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 @contextmanager
 def _open_output(target: str):
+    """A binary handle on ``target`` (``-`` is stdout)."""
     if target == "-":
-        yield sys.stdout
+        sys.stdout.flush()
+        try:
+            yield sys.stdout.buffer
+        finally:
+            sys.stdout.buffer.flush()
     else:
         path = Path(target)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as handle:
+        with open(path, "wb") as handle:
             yield handle
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    # The HTTP tier's stream, names and CSV encoder: a file written here is
+    # byte for byte the body of the same POST .../sample with "format": "csv".
+    from repro.server.protocol import encode_chunk, header_line
+
     service = SynthesisService(chunk_size=args.chunk_size)
-    original = not args.model_space and service.transformer(args.artifact) is not None
-    feature_names = (
-        list(service.transformer(args.artifact).schema.names) if original else None
+    stream, names = service.open_release(
+        args.artifact,
+        args.n_samples,
+        labeled=args.labeled,
+        seed=args.seed,
+        chunk_size=args.chunk_size,
+        model_space=args.model_space,
     )
     written = 0
     with _open_output(args.output) as out:
-        if args.labeled:
-            chunks = service.stream_labeled(
-                args.artifact, args.n_samples, seed=args.seed,
-                chunk_size=args.chunk_size, original_space=original,
-            )
-            for X, y in chunks:
-                if written == 0 and not args.no_header:
-                    names = feature_names or [f"feature_{i}" for i in range(X.shape[1])]
-                    out.write(",".join(names + ["label"]) + "\n")
-                if original:
-                    rows = np.empty((len(X), X.shape[1] + 1), dtype=object)
-                    rows[:, :-1] = X
-                    rows[:, -1] = y
-                    write_csv(out, rows)
-                else:
-                    for row, label in zip(X, y):
-                        out.write(",".join(f"{value:.10g}" for value in row) + f",{label}\n")
-                written += len(X)
-        else:
-            chunks = service.stream(
-                args.artifact, args.n_samples, seed=args.seed,
-                chunk_size=args.chunk_size, original_space=original,
-            )
-            for chunk in chunks:
-                if written == 0 and not args.no_header:
-                    names = feature_names or [f"column_{i}" for i in range(chunk.shape[1])]
-                    out.write(",".join(names) + "\n")
-                if original:
-                    write_csv(out, chunk)
-                else:
-                    np.savetxt(out, chunk, delimiter=",", fmt="%.10g")
-                written += len(chunk)
+        if not args.no_header:
+            out.write(header_line("csv", names))
+        for chunk in stream:
+            features, labels = chunk if args.labeled else (chunk, None)
+            out.write(encode_chunk("csv", features, labels))
+            written += len(features)
     if args.output != "-":
         print(f"wrote {written} rows to {args.output}")
     return 0

@@ -401,6 +401,43 @@ class SynthesisService:
 
         return generate()
 
+    def open_release(
+        self,
+        ref,
+        n_samples: int,
+        *,
+        labeled: bool,
+        seed=None,
+        chunk_size: Optional[int] = None,
+        model_space: bool = False,
+    ) -> tuple:
+        """The chunk iterator and CSV column names of one release request.
+
+        ``repro sample`` and ``POST .../sample`` both open their streams here,
+        so the two release the same rows under the same names: original-space
+        rows under the schema's names when the artifact carries a transformer
+        (unless ``model_space``), model-space ``feature_i`` columns
+        otherwise, and a trailing ``label`` column for a labelled release.
+        The stream is built eagerly, so a bad request raises here, before any
+        byte is written.
+        """
+        transformer = self.transformer(ref)
+        original = transformer is not None and not model_space
+        stream = (self.stream_labeled if labeled else self.stream)(
+            ref, n_samples, seed=seed, chunk_size=chunk_size, original_space=original
+        )
+        if original:
+            names = list(transformer.schema.names)
+        else:
+            model = self.get(ref)
+            width = getattr(model, "n_feature_columns", None) if labeled else None
+            if width is None:
+                width = int(model.n_input_features_)
+            names = [f"feature_{index}" for index in range(width)]
+        if labeled:
+            names = names + ["label"]
+        return stream, names
+
     def sample(self, ref, n_samples: int, seed=None, chunk_size: Optional[int] = None) -> np.ndarray:
         """Materialised convenience wrapper around :meth:`stream`."""
         return np.vstack(list(self.stream(ref, n_samples, seed=seed, chunk_size=chunk_size)))

@@ -3,9 +3,10 @@
 The CLI's mixed-type path (``python -m repro train --data table.csv``) reads
 raw tables through :func:`read_csv` — every cell stays a string until the
 :class:`~repro.transforms.table.TableTransformer` (driven by a declared or
-inferred schema) decides which columns are numeric — and writes
-original-space synthetic rows back out through :func:`write_csv`, preserving
-category labels verbatim and formatting numerics compactly.
+inferred schema) decides which columns are numeric.  :func:`write_csv` writes
+such an input table, quoting category labels as needed and formatting
+numerics compactly; synthetic releases are encoded by the HTTP tier's
+:func:`repro.server.protocol.encode_chunk` instead, with exact floats.
 """
 
 from __future__ import annotations
@@ -47,11 +48,10 @@ def read_csv(path, delimiter: str = ",", header: bool = True):
     return list(names), rows
 
 
-def format_table(rows, float_format: str = "%.10g") -> list:
+def format_table(rows) -> list:
     """Format an original-space object table as CSV field strings, per column.
 
-    Numeric columns go through ``float_format``; everything else through
-    ``str``.  Returns a list of string arrays (one per column) so callers can
+    Numeric columns go through ``%.10g``; everything else through ``str``.  Returns a list of string arrays (one per column) so callers can
     zip them into lines without re-testing cell types per row.
     """
     rows = np.asarray(rows, dtype=object)
@@ -66,22 +66,21 @@ def format_table(rows, float_format: str = "%.10g") -> list:
             columns.append(np.asarray([str(value) for value in values], dtype=np.str_))
         else:
             columns.append(
-                np.asarray([float_format % value for value in numeric], dtype=np.str_)
+                np.asarray(["%.10g" % value for value in numeric], dtype=np.str_)
             )
     return columns
 
 
-def write_csv(handle_or_path, rows, names=None, float_format: str = "%.10g") -> int:
+def write_csv(handle_or_path, rows, names=None) -> int:
     """Write an original-space object table as CSV; returns the row count.
 
-    ``handle_or_path`` may be an open text handle (the CLI's streaming path)
-    or a filesystem path.  Emission goes through :class:`csv.writer`, so
+    ``handle_or_path`` may be an open text handle or a filesystem path.  Emission goes through :class:`csv.writer`, so
     category labels containing commas/quotes/newlines are quoted and
     round-trip through :func:`read_csv` (which already accepts quoted
     fields).
     """
     rows = np.asarray(rows, dtype=object)
-    columns = format_table(rows, float_format=float_format)
+    columns = format_table(rows)
 
     def _emit(handle):
         writer = csv.writer(handle, lineterminator="\n")

@@ -203,20 +203,6 @@ class TableTransformer:
             start += width
         return slices
 
-    @property
-    def output_names(self) -> list:
-        """Model-space column names (one-hot columns as ``name=category``)."""
-        self._check_fitted()
-        names = []
-        for column, transform in zip(self.schema, self.transforms_):
-            if isinstance(transform, OneHotCategorical):
-                names.extend(
-                    f"{column.name}={category}" for category in transform.categories_
-                )
-            else:
-                names.append(column.name)
-        return names
-
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------

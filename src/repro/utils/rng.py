@@ -23,7 +23,6 @@ __all__ = [
     "check_random_state",
     "dump_generator_state",
     "restore_generator_state",
-    "spawn",
 ]
 
 
@@ -50,12 +49,6 @@ def as_generator(random_state=None) -> np.random.Generator:
 
 # Alias kept for familiarity with the scikit-learn naming convention.
 check_random_state = as_generator
-
-
-def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split ``rng`` into ``n`` independent child generators."""
-    seeds = rng.integers(0, 2**63 - 1, size=n)
-    return [np.random.default_rng(int(s)) for s in seeds]
 
 
 def dump_generator_state(rng: np.random.Generator) -> str:

@@ -17,7 +17,6 @@ import pytest
 from dp_step_reference import ReferenceAdam, ReferenceDPSGD, ReferenceSGD
 from repro.engine.checkpoint import load_checkpoint, restore_trainer_state, save_checkpoint
 from repro.nn import MLP, SGD, Adam, Tensor, grad_sample_mode
-from repro.nn import functional as F
 from repro.nn.optim import BLOCK
 from repro.privacy import DPSGD
 from repro.utils.rng import dump_generator_state
@@ -67,12 +66,16 @@ class Run:
             model=self.net, optimizer=self.opt, rng=self.rng, callbacks=[], global_step=0, epoch=0
         )
 
+    def loss(self, X, y, index):
+        """The batch's summed squared error, a sum of per-example terms."""
+        return ((self.net(Tensor(X[index])) - y[index]) ** 2).sum()
+
     def step(self, X, y, index):
         if index is None:
             self.opt.noise_step()
         else:
             with grad_sample_mode():
-                F.mse_loss(self.net(Tensor(X[index])), y[index], reduction="sum").backward()
+                self.loss(X, y, index).backward()
             self.opt.step()
         self.trainer.global_step += 1
 
@@ -143,7 +146,7 @@ def test_rebinding_a_parameter_makes_the_next_step_raise(base):
     before = run.snapshot()
     run.params[1].data = run.params[1].data.copy()
     with grad_sample_mode():
-        F.mse_loss(run.net(Tensor(X[batches[1]])), y[batches[1]], reduction="sum").backward()
+        run.loss(X, y, batches[1]).backward()
     with pytest.raises(RuntimeError, match="parameter 1 .* rebound out of the"):
         run.opt.step()
     with pytest.raises(RuntimeError, match="rebound"):

@@ -45,13 +45,13 @@ def tiny_built_vae():
     return model
 
 
-def private_trainer(model, sampler, callbacks=(), lr=0.001, **dpsgd):
+def private_trainer(model, sampler, callbacks=(), lr=0.001):
     """A private Trainer whose DPSGD (around SGD at ``lr``) draws noise from
     ``rng=7`` (sigma 1.5, C 2, B 5)."""
     params = list(model._parameters())
     optimizer = DPSGD(
         params, noise_multiplier=1.5, max_grad_norm=2.0, expected_batch_size=5,
-        base_optimizer=SGD(params, lr=lr), rng=7, **dpsgd,
+        base_optimizer=SGD(params, lr=lr), rng=7,
     )
     return Trainer(
         model, optimizer, sampler, callbacks=[*callbacks, HistoryLogger()], rng=model._rng
@@ -223,7 +223,7 @@ class TestTrainerMechanics:
 
     def test_budget_tracker_counts_noise_only_steps(self):
         model = tiny_built_vae()
-        trainer = private_trainer(model, EmptySampler(sample_rate=0.25, steps=1), sample_rate=0.25)
+        trainer = private_trainer(model, EmptySampler(sample_rate=0.25, steps=1))
         accountant = P3GMAccountant(epsilon_pca=0.0, em_iterations=0, sigma_sgd=1.5, sample_rate=0.25)
         trainer.callbacks.insert(0, PrivacyBudgetTracker(accountant, delta=1e-5))
         trainer.fit(20, 2, lambda idx: None)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mixture import kl_diag_gaussian_pair, kl_gaussian_to_mog, kl_mog_mog_approx
+from repro.mixture import kl_diag_gaussian_pair, kl_gaussian_to_mog
 from repro.nn import Tensor
 from tests.nn.test_autograd import numerical_grad
 
@@ -93,26 +93,3 @@ class TestGaussianToMoG:
                 np.zeros((2, 3)),
                 np.ones((3, 3)),
             )
-
-
-class TestMoGMoGApprox:
-    def test_zero_for_identical_mixtures(self, rng):
-        weights = np.array([0.3, 0.7])
-        means = rng.normal(size=(2, 3))
-        variances = np.exp(rng.normal(size=(2, 3)))
-        kl = kl_mog_mog_approx(weights, means, variances, weights, means, variances)
-        assert kl == pytest.approx(0.0, abs=1e-9)
-
-    def test_positive_for_shifted_mixture(self, rng):
-        weights = np.array([0.5, 0.5])
-        means = rng.normal(size=(2, 3))
-        variances = np.ones((2, 3))
-        kl = kl_mog_mog_approx(weights, means, variances, weights, means + 5.0, variances)
-        assert kl > 1.0
-
-    def test_single_components_reduce_to_pair_kl(self, rng):
-        mu_a, var_a = rng.normal(size=(1, 4)), np.exp(rng.normal(size=(1, 4)))
-        mu_b, var_b = rng.normal(size=(1, 4)), np.exp(rng.normal(size=(1, 4)))
-        approx = kl_mog_mog_approx([1.0], mu_a, var_a, [1.0], mu_b, var_b)
-        exact = kl_diag_gaussian_pair(mu_a[0], var_a[0], mu_b[0], var_b[0])
-        assert approx == pytest.approx(exact, rel=1e-9)

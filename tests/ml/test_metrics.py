@@ -6,7 +6,6 @@ import pytest
 from repro.ml import (
     accuracy_score,
     average_precision_score,
-    f1_score,
     precision_recall_curve,
     roc_auc_score,
     roc_curve,
@@ -81,15 +80,3 @@ class TestAveragePrecision:
         precision, recall, _ = precision_recall_curve(y, rng.random(200))
         assert np.all(np.diff(recall) <= 1e-12)
         assert precision[-1] == 1.0
-
-
-class TestF1:
-    def test_perfect(self):
-        assert f1_score([0, 1, 1], [0, 1, 1]) == 1.0
-
-    def test_no_true_positives(self):
-        assert f1_score([1, 1, 0], [0, 0, 1]) == 0.0
-
-    def test_known_value(self):
-        # tp=1, fp=1, fn=1 -> precision=recall=0.5 -> f1=0.5
-        assert f1_score([1, 0, 1], [1, 1, 0]) == pytest.approx(0.5)

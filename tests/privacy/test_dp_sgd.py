@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.nn import MLP, SGD, Tensor, grad_sample_mode
-from repro.nn import functional as F
 from repro.privacy import DPSGD
 
 
@@ -17,6 +16,12 @@ def make_model_and_data(seed=0, n=64, d=4):
     return model, X, y
 
 
+def squared_error(model, X, y):
+    """The summed squared error of ``model`` on ``(X, y)``: a sum of
+    per-example terms, as DP-SGD's per-example gradients require."""
+    return ((model(Tensor(X)) - y) ** 2).sum()
+
+
 class TestDPSGDMechanics:
     def test_step_requires_grad_sample(self):
         model, X, y = make_model_and_data()
@@ -25,7 +30,7 @@ class TestDPSGDMechanics:
             params, noise_multiplier=1.0, max_grad_norm=1.0, expected_batch_size=64,
             base_optimizer=SGD(params),
         )
-        loss = F.mse_loss(model(Tensor(X)), y, reduction="sum")
+        loss = squared_error(model, X, y)
         loss.backward()
         with pytest.raises(RuntimeError):
             opt.step()
@@ -39,7 +44,7 @@ class TestDPSGDMechanics:
             base_optimizer=SGD(params),
         )
         with grad_sample_mode():
-            F.mse_loss(model(Tensor(X)), y, reduction="sum").backward()
+            squared_error(model, X, y).backward()
         # Drop the per-example gradient of the third parameter only.
         params[2].grad_sample = None
         with pytest.raises(RuntimeError, match=r"parameter 2 \(shape \(8, 1\)\)"):
@@ -54,7 +59,7 @@ class TestDPSGDMechanics:
             base_optimizer=SGD(params, lr=0.1), rng=0,
         )
         with grad_sample_mode():
-            loss = F.mse_loss(model(Tensor(X)), y, reduction="sum")
+            loss = squared_error(model, X, y)
             loss.backward()
         opt.step()
         assert any(not np.allclose(b, p.data) for b, p in zip(before, params))
@@ -68,7 +73,7 @@ class TestDPSGDMechanics:
             base_optimizer=SGD(params, lr=0.001), rng=0,
         )
         with grad_sample_mode():
-            F.mse_loss(model(Tensor(X)), y, reduction="sum").backward()
+            squared_error(model, X, y).backward()
         opt.step()
         assert all(p.grad_sample is None for p in opt.params)
 
@@ -79,7 +84,7 @@ class TestDPSGDMechanics:
 
         # Reference: per-example clipped mean computed manually.
         with grad_sample_mode():
-            F.mse_loss(model(Tensor(X)), y, reduction="sum").backward()
+            squared_error(model, X, y).backward()
         from repro.privacy.clipping import per_example_clip
 
         clipped = per_example_clip([p.grad_sample for p in params], 1.0)
@@ -97,41 +102,10 @@ class TestDPSGDMechanics:
         )
         before = [p.data.copy() for p in params]
         with grad_sample_mode():
-            F.mse_loss(model(Tensor(X)), y, reduction="sum").backward()
+            squared_error(model, X, y).backward()
         opt.step()
         for b, p, ref in zip(before, params, reference):
             np.testing.assert_allclose(b - p.data, ref, atol=1e-5)
-
-    def test_privacy_spent_accumulates(self):
-        model, X, y = make_model_and_data()
-        params = list(model.parameters())
-        opt = DPSGD(
-            params,
-            noise_multiplier=1.5,
-            max_grad_norm=1.0,
-            expected_batch_size=16,
-            sample_rate=0.25,
-            base_optimizer=SGD(params, lr=0.001),
-            rng=0,
-        )
-        assert opt.privacy_spent(1e-5) == 0.0
-        for _ in range(3):
-            with grad_sample_mode():
-                F.mse_loss(model(Tensor(X)), y, reduction="sum").backward()
-            opt.step()
-        eps3 = opt.privacy_spent(1e-5)
-        eps10 = opt.privacy_spent(1e-5, steps=10)
-        assert 0 < eps3 < eps10
-
-    def test_privacy_spent_requires_sample_rate(self):
-        model, X, y = make_model_and_data()
-        params = list(model.parameters())
-        opt = DPSGD(
-            params, noise_multiplier=1.0, max_grad_norm=1.0, expected_batch_size=8,
-            base_optimizer=SGD(params),
-        )
-        with pytest.raises(ValueError):
-            opt.privacy_spent(1e-5)
 
     def test_invalid_constructor_args(self):
         model, _, _ = make_model_and_data()
@@ -183,7 +157,6 @@ class TestDPSGDState:
             noise_multiplier=1.2,
             max_grad_norm=1.0,
             expected_batch_size=64,
-            sample_rate=0.25,
             base_optimizer=Adam(params, lr=0.01),
             rng=rng,
         )
@@ -191,7 +164,7 @@ class TestDPSGDState:
     def run_steps(self, model, opt, X, y, n):
         for _ in range(n):
             with grad_sample_mode():
-                F.mse_loss(model(Tensor(X)), y, reduction="sum").backward()
+                squared_error(model, X, y).backward()
             opt.step()
 
     def test_state_round_trip_resumes_bit_identically(self):
@@ -213,7 +186,7 @@ class TestDPSGDState:
         self.run_steps(model2, opt2, X, y, 2)
         for a, b in zip(opt.params, opt2.params):
             assert a.data.tobytes() == b.data.tobytes()
-        assert opt.privacy_spent(1e-5) == opt2.privacy_spent(1e-5)
+        assert opt.steps_taken == opt2.steps_taken == 5
 
     def test_rng_state_pins_the_noise_stream(self):
         model, X, y = make_model_and_data()
@@ -262,7 +235,6 @@ class TestDPSGDNoiseStep:
             noise_multiplier=1.3,
             max_grad_norm=0.7,
             expected_batch_size=16,
-            sample_rate=0.25,
             base_optimizer=SGD(params, lr=0.5),
             rng=rng,
         )
@@ -273,34 +245,30 @@ class TestDPSGDNoiseStep:
         opt = self.make_optimizer(list(model.parameters()))
         zero_opt = self.make_optimizer(list(zero_model.parameters()))
         with grad_sample_mode():
-            (F.mse_loss(zero_model(Tensor(X)), y, reduction="sum") * 0.0).backward()
+            (squared_error(zero_model, X, y) * 0.0).backward()
         zero_opt.step()
         opt.noise_step()
         for a, b in zip(opt.params, zero_opt.params):
             assert a.data.tobytes() == b.data.tobytes()
 
-    def test_noise_steps_are_counted_and_accounted(self):
-        from repro.privacy.accounting import P3GMAccountant
-
+    def test_noise_steps_are_counted(self):
+        # The model's accountant analyses every counted step
+        # (tests/engine/test_trainer.py pins noise-only steps in its epsilon).
         model, _, _ = make_model_and_data()
         opt = self.make_optimizer(list(model.parameters()))
         for _ in range(3):
             opt.noise_step()
         assert opt.steps_taken == 3
-        dp_sgd_only = P3GMAccountant(
-            epsilon_pca=0.0, em_iterations=0, sigma_sgd=1.3, sample_rate=0.25, sgd_steps=3
-        )
-        assert opt.privacy_spent(1e-5) == dp_sgd_only.epsilon(1e-5) > 0
 
     def test_noise_step_clears_diagnostics_and_stale_grad_samples(self):
         model, X, y = make_model_and_data()
         opt = self.make_optimizer(list(model.parameters()))
         with grad_sample_mode():
-            F.mse_loss(model(Tensor(X)), y, reduction="sum").backward()
+            squared_error(model, X, y).backward()
         opt.step()
         assert opt.last_grad_norm is not None
         with grad_sample_mode():
-            F.mse_loss(model(Tensor(X)), y, reduction="sum").backward()
+            squared_error(model, X, y).backward()
         opt.noise_step()
         assert opt.last_grad_norm is None and opt.last_clip_fraction is None
         assert all(p.grad_sample is None for p in opt.params)
@@ -322,7 +290,7 @@ class TestDPSGDLearning:
         losses = []
         for _ in range(60):
             with grad_sample_mode():
-                loss = F.mse_loss(model(Tensor(X)), y, reduction="sum")
+                loss = squared_error(model, X, y)
                 loss.backward()
             losses.append(loss.item() / len(X))
             opt.step()

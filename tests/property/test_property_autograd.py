@@ -17,7 +17,7 @@ class TestAutogradProperties:
     @settings(max_examples=40, deadline=None)
     def test_composite_expression_gradient_matches_numerical(self, x_data):
         def expression(t):
-            return ((t * 2.0 + 1.0).tanh() * t.sigmoid()).sum()
+            return ((t * 2.0 + 1.0).sigmoid() * t.exp()).sum()
 
         x = Tensor(x_data.copy(), requires_grad=True)
         expression(x).backward()
@@ -42,12 +42,6 @@ class TestAutogradProperties:
         (a + b).sum().backward()
         np.testing.assert_allclose(a.grad, np.ones((rows, cols)))
         np.testing.assert_allclose(b.grad, np.ones((rows, cols)))
-
-    @given(matrices)
-    @settings(max_examples=40, deadline=None)
-    def test_softplus_greater_than_relu(self, x_data):
-        x = Tensor(x_data)
-        assert np.all(x.softplus().data >= x.relu().data - 1e-12)
 
     @given(matrices)
     @settings(max_examples=40, deadline=None)

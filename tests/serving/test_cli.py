@@ -70,7 +70,7 @@ class TestSample:
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 501  # header + rows
-        assert lines[0].startswith("column_0,")
+        assert lines[0].startswith("feature_0,")
         assert len(lines[1].split(",")) == len(lines[0].split(","))
 
     def test_same_seed_gives_identical_csv(self, trained_artifact, tmp_path):

@@ -226,7 +226,7 @@ class TestMixedTypeCli:
         ) == 0
         capsys.readouterr()
         lines = out_csv.read_text().strip().splitlines()
-        assert lines[0].startswith("column_0,")
+        assert lines[0].startswith("feature_0,")
         first = np.array(lines[1].split(","), dtype=float)
         assert first.min() >= 0.0 and first.max() <= 1.0
 

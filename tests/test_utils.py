@@ -5,7 +5,6 @@ import pytest
 
 from repro.utils import as_generator, check_array, check_positive, check_probability, check_X_y
 from repro.utils.logging import TrainingHistory
-from repro.utils.rng import spawn
 
 
 class TestRNG:
@@ -47,12 +46,6 @@ class TestRNG:
         state["bit_generator"] = "MT19937"
         with pytest.raises(ValueError, match="MT19937"):
             restore_generator_state(np.random.default_rng(0), json.dumps(state))
-
-    def test_spawn_children_independent(self):
-        children = spawn(np.random.default_rng(0), 3)
-        assert len(children) == 3
-        values = [c.random() for c in children]
-        assert len(set(values)) == 3
 
 
 class TestValidation:

@@ -119,7 +119,6 @@ class TestBehaviour:
         schema, rows = self._mixed()
         transformer = TableTransformer(schema).fit(rows)
         assert transformer.output_width == 4  # 1 + 2 + 1
-        assert transformer.output_names == ["x", "cat=a", "cat=b", "level"]
         assert [s.indices(4) for s in transformer.column_slices] == [
             (0, 1, 1), (1, 3, 1), (3, 4, 1)
         ]
