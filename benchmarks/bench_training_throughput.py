@@ -117,7 +117,7 @@ def time_steps(optimizer_name: str, steps: int, seed=0) -> float:
     def one_step():
         batch = data[rng.choice(len(data), size=batch_size, replace=False)]
         with grad_sample_mode():
-            reconstruction, kl = model._per_example_loss(batch)
+            reconstruction, kl = model._per_example_loss(batch, model._rng)
             (reconstruction + kl).sum().backward()
         optimizer.step()
 

@@ -98,14 +98,14 @@ class Checkpoint:
         checkpointed epoch — resuming *training* goes through
         :meth:`repro.engine.Trainer.fit` instead.
         """
-        from repro.serving.registry import resolve_model_class
+        from repro.serving.registry import model_from_config, resolve_model_class
 
         try:
             cls = resolve_model_class(self.manifest["model_class"])
         except KeyError as error:
             raise CheckpointError(str(error)) from error
         try:
-            model = cls(**self.manifest["hyperparameters"])
+            model = model_from_config(cls, self.manifest["hyperparameters"])
             model.load_state_dict(self.model_state())
         except (TypeError, KeyError, ValueError) as error:
             raise CheckpointError(

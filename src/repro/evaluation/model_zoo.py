@@ -98,7 +98,6 @@ def model_factories(
             delta=delta,
             noise_multiplier=noise,
             variance_mode="fixed",
-            fixed_variance=0.0,
             **phased_common,
             **pca_budget,
         ),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mixture.gmm import GaussianMixture
+from repro.mixture.gmm import VARIANCE_FLOOR, GaussianMixture
 from repro.privacy.clipping import clip_rows
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_array, check_positive
@@ -43,15 +43,9 @@ class DPGaussianMixture(GaussianMixture):
         sigma: float = 10.0,
         clip_norm: float = 1.0,
         n_iter: int = 20,
-        reg_covar: float = 1e-6,
         random_state=None,
     ):
-        super().__init__(
-            n_components=n_components,
-            n_iter=n_iter,
-            reg_covar=reg_covar,
-            random_state=random_state,
-        )
+        super().__init__(n_components=n_components, n_iter=n_iter, random_state=random_state)
         check_positive(sigma, "sigma")
         check_positive(clip_norm, "clip_norm")
         self.sigma = sigma
@@ -81,4 +75,4 @@ class DPGaussianMixture(GaussianMixture):
         self.means_ = self.means_ + rng.normal(0.0, noise_scale, size=self.means_.shape)
 
         noisy_cov = self.covariances_ + rng.normal(0.0, noise_scale, size=self.covariances_.shape)
-        self.covariances_ = np.maximum(noisy_cov, self.reg_covar)
+        self.covariances_ = np.maximum(noisy_cov, VARIANCE_FLOOR)

@@ -24,6 +24,9 @@ __all__ = ["GaussianMixture"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
+#: Variance floor added to covariance diagonals for numerical stability.
+VARIANCE_FLOOR = 1e-6
+
 
 class GaussianMixture:
     """Mixture of Gaussians estimated by EM.
@@ -35,15 +38,14 @@ class GaussianMixture:
         experiments).
     n_iter:
         Number of EM iterations (``T_e``).
-    reg_covar:
-        Variance floor added to covariance diagonals for numerical stability.
+
+    Every covariance diagonal carries :data:`VARIANCE_FLOOR`.
     """
 
     def __init__(
         self,
         n_components: int = 3,
         n_iter: int = 50,
-        reg_covar: float = 1e-6,
         random_state=None,
     ):
         if n_components < 1:
@@ -52,7 +54,6 @@ class GaussianMixture:
             raise ValueError("n_iter must be >= 1")
         self.n_components = n_components
         self.n_iter = n_iter
-        self.reg_covar = reg_covar
         self._rng = as_generator(random_state)
 
         self.weights_: Optional[np.ndarray] = None
@@ -68,7 +69,7 @@ class GaussianMixture:
         indices = self._rng.choice(n_samples, size=self.n_components, replace=False)
         self.means_ = X[indices].copy()
         self.weights_ = np.full(self.n_components, 1.0 / self.n_components)
-        global_var = X.var(axis=0) + self.reg_covar
+        global_var = X.var(axis=0) + VARIANCE_FLOOR
         self.covariances_ = np.tile(global_var, (self.n_components, 1))
 
     # -- densities --------------------------------------------------------------------
@@ -135,7 +136,7 @@ class GaussianMixture:
         for k in range(self.n_components):
             diff = X - self.means_[k]
             covariances[k] = (responsibilities[:, k] @ diff**2) / counts[k]
-        self.covariances_ = covariances + self.reg_covar
+        self.covariances_ = covariances + VARIANCE_FLOOR
 
     # -- sampling -----------------------------------------------------------------------------
 

@@ -17,32 +17,29 @@ from repro.utils.validation import check_X_y, check_array, check_positive
 
 __all__ = ["LogisticRegression"]
 
+#: L2 penalty on the coefficients.
+L2_PENALTY = 1e-4
+
 
 class LogisticRegression:
-    """L2-regularised logistic regression.
+    """L2-regularised logistic regression (penalty :data:`L2_PENALTY`).
 
     Parameters
     ----------
     learning_rate, n_iter:
         Gradient-descent schedule.
-    l2:
-        Regularisation strength (0 disables it).
     """
 
     def __init__(
         self,
         learning_rate: float = 0.1,
         n_iter: int = 300,
-        l2: float = 1e-4,
         random_state=None,
     ):
         check_positive(learning_rate, "learning_rate")
         check_positive(n_iter, "n_iter")
-        if l2 < 0:
-            raise ValueError("l2 must be non-negative")
         self.learning_rate = learning_rate
         self.n_iter = n_iter
-        self.l2 = l2
         self.random_state = random_state
 
         self.classes_: Optional[np.ndarray] = None
@@ -74,7 +71,7 @@ class LogisticRegression:
                 logits = Xs @ self.coef_[0] + self.intercept_[0]
                 probabilities = expit(logits)
                 error = probabilities - targets
-                grad_w = Xs.T @ error / len(Xs) + self.l2 * self.coef_[0]
+                grad_w = Xs.T @ error / len(Xs) + L2_PENALTY * self.coef_[0]
                 grad_b = error.mean()
                 self.coef_[0] -= self.learning_rate * grad_w
                 self.intercept_[0] -= self.learning_rate * grad_b
@@ -84,7 +81,7 @@ class LogisticRegression:
                 logits = Xs @ self.coef_.T + self.intercept_
                 probabilities = softmax(logits, axis=1)
                 error = probabilities - onehot
-                grad_w = error.T @ Xs / len(Xs) + self.l2 * self.coef_
+                grad_w = error.T @ Xs / len(Xs) + L2_PENALTY * self.coef_
                 grad_b = error.mean(axis=0)
                 self.coef_ -= self.learning_rate * grad_w
                 self.intercept_ -= self.learning_rate * grad_b

@@ -3,7 +3,7 @@
 Stands in for the ``xgboost`` package in the paper's utility protocol.  Each
 round fits a regression tree to the negative gradients of the logistic loss,
 then replaces the leaf values with the Newton step
-``-sum(grad) / (sum(hess) + reg_lambda)`` — the core of XGBoost's objective —
+``-sum(grad) / (sum(hess) + LEAF_L2)`` — the core of XGBoost's objective —
 so the ensemble benefits from second-order information and L2 leaf
 regularisation.  As in XGBoost's exact greedy algorithm, ``fit`` sorts the
 columns once; each round passes its row subsample to the tree as indices into
@@ -23,14 +23,15 @@ from repro.utils.validation import check_X_y, check_array, check_positive
 
 __all__ = ["XGBClassifier"]
 
+#: L2 regularisation on leaf weights (XGBoost's lambda).
+LEAF_L2 = 1.0
+
 
 class XGBClassifier(_BinaryClassifierBase):
     """Second-order boosted trees with logistic loss.
 
     Parameters
     ----------
-    reg_lambda:
-        L2 regularisation on leaf weights.
     subsample:
         Row subsampling rate per boosting round.
     """
@@ -40,7 +41,6 @@ class XGBClassifier(_BinaryClassifierBase):
         n_estimators: int = 50,
         learning_rate: float = 0.3,
         max_depth: int = 4,
-        reg_lambda: float = 1.0,
         subsample: float = 1.0,
         max_features=None,
         random_state=None,
@@ -49,12 +49,9 @@ class XGBClassifier(_BinaryClassifierBase):
         check_positive(learning_rate, "learning_rate")
         if not 0 < subsample <= 1:
             raise ValueError("subsample must be in (0, 1]")
-        if reg_lambda < 0:
-            raise ValueError("reg_lambda must be non-negative")
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
-        self.reg_lambda = reg_lambda
         self.subsample = subsample
         self.max_features = max_features
         self._rng = as_generator(random_state)
@@ -93,7 +90,7 @@ class XGBClassifier(_BinaryClassifierBase):
             round_leaves = leaves[rows]
             for leaf in np.unique(round_leaves):
                 members = rows[round_leaves == leaf]
-                tree.value_[leaf] = -grad[members].sum() / (hess[members].sum() + self.reg_lambda)
+                tree.value_[leaf] = -grad[members].sum() / (hess[members].sum() + LEAF_L2)
 
             raw = raw + self.learning_rate * tree.value_[leaves]
             self.estimators_.append(tree)

@@ -33,8 +33,12 @@ __all__ = [
     "unpack_state",
 ]
 
+#: Copies of the one-hot label block a labelled fit appends (see
+#: :class:`LabelEncodingMixin`).
+LABEL_COPIES = 10
 
-def decode_rows(decoder, latent: np.ndarray, decoder_type: str) -> np.ndarray:
+
+def decode_rows(decoder, latent: np.ndarray) -> np.ndarray:
     """Run a fitted decoder over latent rows through its compiled plan.
 
     The fused tape-free plan (:mod:`repro.nn.inference`) is cached per
@@ -43,10 +47,7 @@ def decode_rows(decoder, latent: np.ndarray, decoder_type: str) -> np.ndarray:
     same pass.  Its rows are bit-identical to the autograd forward's; a
     decoder that does not compile raises :class:`repro.nn.CompileError`.
     """
-    plan = inference.compiled_plan(
-        decoder, epilogue="clip01" if decoder_type == "bernoulli" else None
-    )
-    return plan(latent)
+    return inference.compiled_plan(decoder)(latent)
 
 
 def label_quotas(ratio, n_samples: int, class_counts=None) -> np.ndarray:
@@ -149,26 +150,27 @@ class LabelEncodingMixin:
     are the one-hot label block appended by :meth:`_attach_labels` during
     ``fit``.
 
-    If the subclass defines a ``label_repeat`` attribute greater than 1, the
-    one-hot block is replicated that many times.  This acts as a weight on the
-    label-reconstruction term of the ELBO: with heavily imbalanced data and
-    per-example gradient clipping (DP-SGD), a single one-hot column carries too
-    little gradient signal for the minority class to be learned, and the paper's
-    protocol of attaching the label as ordinary columns would silently fail at
-    laptop scale.  Replication keeps targets in ``{0, 1}`` (so Bernoulli
-    decoders still apply) and is a pure reweighting of the reconstruction term;
-    it does not affect privacy accounting.
+    The one-hot block is replicated :data:`LABEL_COPIES` (10) times.  This
+    acts as a weight on the label-reconstruction term of the ELBO: with
+    heavily imbalanced data and per-example gradient clipping (DP-SGD), a
+    single one-hot column carries too little gradient signal for the minority
+    class to be learned, and the paper's protocol of attaching the label as
+    ordinary columns would silently fail at laptop scale.  Replication keeps
+    targets in ``{0, 1}`` (so Bernoulli decoders still apply) and is a pure
+    reweighting of the reconstruction term; it does not affect privacy
+    accounting.  A fitted model records its copy count in its state dict
+    (``label.repeat``; 1 when fitted without labels).
     """
 
     _n_classes: int = 0
     _classes: Optional[np.ndarray] = None
     _label_ratio: Optional[np.ndarray] = None
-    _label_repeat: int = 1
+    _label_copies: int = 1
 
     # -- training-side helpers ----------------------------------------------------
 
     def _attach_labels(self, X: np.ndarray, y) -> np.ndarray:
-        """Concatenate a (possibly replicated) one-hot label block to ``X``.
+        """Concatenate the replicated one-hot label block to ``X``.
 
         The classes are those of ``y``, and the block is
         :meth:`_with_label_block`'s, the one the fitted model is also
@@ -181,12 +183,12 @@ class LabelEncodingMixin:
             self._n_classes = 0
             self._classes = None
             self._label_ratio = None
-            self._label_repeat = 1
+            self._label_copies = 1
             return X
         y = np.asarray(y)
         if len(y) != len(X):
             raise ValueError("X and y have inconsistent lengths")
-        self._label_repeat = max(1, int(getattr(self, "label_repeat", 1)))
+        self._label_copies = LABEL_COPIES
         self._classes = OneHotCategorical().fit(y).categories_
         self._n_classes = len(self._classes)
         data = self._with_label_block(X, y)
@@ -194,12 +196,12 @@ class LabelEncodingMixin:
         return data
 
     def _label_block_width(self) -> int:
-        return self._n_classes * self._label_repeat
+        return self._n_classes * self._label_copies
 
     def _label_scores(self, rows: np.ndarray) -> np.ndarray:
         """Per-class activation summed over the replicated label block."""
         return inference.label_scores(
-            np.asarray(rows), self._n_classes, self._label_repeat
+            np.asarray(rows), self._n_classes, self._label_copies
         )
 
     def _with_label_block(self, X: np.ndarray, y) -> np.ndarray:
@@ -222,7 +224,7 @@ class LabelEncodingMixin:
                 f"training classes {self._classes.tolist()}"
             )
         onehot = OneHotCategorical(self._classes).transform(y)
-        return np.hstack([X, np.tile(onehot, (1, self._label_repeat))])
+        return np.hstack([X, np.tile(onehot, (1, self._label_copies))])
 
     @property
     def n_feature_columns(self) -> int:
@@ -238,7 +240,7 @@ class LabelEncodingMixin:
         """Label-handling state as flat numpy entries (for ``state_dict``)."""
         state = {
             "label.n_classes": np.asarray(self._n_classes),
-            "label.repeat": np.asarray(self._label_repeat),
+            "label.repeat": np.asarray(self._label_copies),
         }
         if self._n_classes:
             state["label.classes"] = np.asarray(self._classes)
@@ -247,7 +249,7 @@ class LabelEncodingMixin:
 
     def _load_label_state(self, state: dict) -> None:
         self._n_classes = int(state["label.n_classes"])
-        self._label_repeat = int(state["label.repeat"])
+        self._label_copies = int(state["label.repeat"])
         if self._n_classes:
             self._classes = np.asarray(state["label.classes"])
             self._label_ratio = np.asarray(state["label.ratio"], dtype=np.float64)

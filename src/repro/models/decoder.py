@@ -45,10 +45,12 @@ class DecoderModel(GenerativeModel, LabelEncodingMixin, CheckpointableMixin):
     pre-training phases and network construction in its RNG order, returning
     the trainer's ``loss_fn(index) -> (reconstruction, kl)`` — and trains
     ``_parameters()`` with Adam.  A subclass also implements
-    ``_per_example_loss(batch)``, ``_sample_latent(n_samples, rng)`` and its
-    state dict, and builds ``self.decoder``; the model is fitted once that
-    exists.  The constructor is :class:`repro.models.VAE`'s, which documents
-    the parameters.
+    ``_per_example_loss(batch, rng)`` (``rng`` draws the reparameterisation
+    noise), ``_sample_latent(n_samples, rng)`` and its state dict, and builds
+    ``self.decoder``; the model is fitted once that exists.  The decoder is
+    Bernoulli: it outputs per-feature probabilities, so the data must lie in
+    ``[0, 1]``.  The constructor is :class:`repro.models.VAE`'s, which
+    documents the parameters.
     """
 
     def __init__(
@@ -58,8 +60,6 @@ class DecoderModel(GenerativeModel, LabelEncodingMixin, CheckpointableMixin):
         epochs: int = 10,
         batch_size: int = 100,
         learning_rate: float = 1e-3,
-        decoder_type: str = "bernoulli",
-        label_repeat: int = 10,
         sampler: str = "shuffle",
         random_state=None,
     ):
@@ -67,9 +67,6 @@ class DecoderModel(GenerativeModel, LabelEncodingMixin, CheckpointableMixin):
         check_positive(epochs, "epochs")
         check_positive(batch_size, "batch_size")
         check_positive(learning_rate, "learning_rate")
-        check_positive(label_repeat, "label_repeat")
-        if decoder_type not in ("bernoulli", "gaussian"):
-            raise ValueError("decoder_type must be 'bernoulli' or 'gaussian'")
         if sampler not in ("shuffle", "poisson"):
             raise ValueError("sampler must be 'shuffle' or 'poisson'")
         self.latent_dim = latent_dim
@@ -77,8 +74,6 @@ class DecoderModel(GenerativeModel, LabelEncodingMixin, CheckpointableMixin):
         self.epochs = epochs
         self.batch_size = batch_size
         self.learning_rate = learning_rate
-        self.decoder_type = decoder_type
-        self.label_repeat = label_repeat
         self.sampler = sampler
         self.random_state = random_state
         self._rng = as_generator(random_state)
@@ -93,12 +88,8 @@ class DecoderModel(GenerativeModel, LabelEncodingMixin, CheckpointableMixin):
     # -- ELBO -------------------------------------------------------------------------
 
     def _reconstruction_term(self, decoded: Tensor, target: np.ndarray) -> Tensor:
-        """Per-example negative log-likelihood of the decoder, shape (batch,)."""
-        if self.decoder_type == "bernoulli":
-            per_feature = F.binary_cross_entropy(decoded, target, reduction="none")
-        else:
-            per_feature = 0.5 * (decoded - Tensor(target)) ** 2
-        return per_feature.sum(axis=1)
+        """Per-example Bernoulli negative log-likelihood, shape (batch,)."""
+        return F.binary_cross_entropy(decoded, target, reduction="none").sum(axis=1)
 
     # -- training -----------------------------------------------------------------------
 
@@ -131,7 +122,12 @@ class DecoderModel(GenerativeModel, LabelEncodingMixin, CheckpointableMixin):
     # -- evaluation and sampling --------------------------------------------------------
 
     def reconstruction_loss(self, X, y=None) -> float:
-        """Mean per-example reconstruction loss (Figure 7a/7b metric)."""
+        """Mean per-example reconstruction loss (Figure 7a/7b metric).
+
+        The reparameterisation noise comes from a generator seeded afresh on
+        every call, so the value depends only on the weights and the data,
+        and the model's own stream does not move.
+        """
         self._check_fitted()
         data = check_array(X, "X")
         if self._n_classes and data.shape[1] == self.n_feature_columns:
@@ -139,7 +135,7 @@ class DecoderModel(GenerativeModel, LabelEncodingMixin, CheckpointableMixin):
                 raise ValueError("model was trained with labels; pass y as well")
             data = self._with_label_block(data, y)
         with no_grad():
-            reconstruction, _ = self._per_example_loss(data)
+            reconstruction, _ = self._per_example_loss(data, np.random.default_rng(0))
         return float(reconstruction.data.mean())
 
     def sample(self, n_samples: int, rng=None) -> np.ndarray:
@@ -148,7 +144,7 @@ class DecoderModel(GenerativeModel, LabelEncodingMixin, CheckpointableMixin):
         self._check_fitted()
         rng = self._rng if rng is None else as_generator(rng)
         latent = self._sample_latent(n_samples, rng)
-        return decode_rows(self.decoder, latent, self.decoder_type)
+        return decode_rows(self.decoder, latent)
 
     def _check_fitted(self) -> None:
         if self.decoder is None:

@@ -38,6 +38,12 @@ from repro.utils.validation import (
 
 __all__ = ["DPGM"]
 
+#: Noisy Lloyd iterations of the private k-means step.
+KMEANS_ITERATIONS = 4
+#: Fraction of ``epsilon`` the private k-means step spends; the rest goes to
+#: every per-cluster generator (parallel composition).
+KMEANS_BUDGET_FRACTION = 0.1
+
 
 class DPGM(GenerativeModel, LabelEncodingMixin):
     """Differentially private mixture of generative neural networks.
@@ -45,12 +51,9 @@ class DPGM(GenerativeModel, LabelEncodingMixin):
     Parameters
     ----------
     n_clusters:
-        Number of k-means partitions (one generator per partition).
-    kmeans_iterations:
-        Noisy Lloyd iterations.
-    kmeans_budget_fraction:
-        Fraction of ``epsilon`` spent on the private k-means step; the rest is
-        given to every per-cluster generator (parallel composition).
+        Number of k-means partitions (one generator per partition), found by
+        :data:`KMEANS_ITERATIONS` noisy Lloyd iterations that spend
+        :data:`KMEANS_BUDGET_FRACTION` of ``epsilon``.
     latent_dim, hidden, epochs, batch_size, learning_rate:
         Hyper-parameters of the per-cluster DP-VAEs (kept small — each
         partition holds only a slice of the data).
@@ -69,21 +72,13 @@ class DPGM(GenerativeModel, LabelEncodingMixin):
         learning_rate: float = 1e-3,
         epsilon: float = 1.0,
         delta: float = 1e-5,
-        kmeans_iterations: int = 4,
-        kmeans_budget_fraction: float = 0.1,
         min_cluster_size: int = 30,
-        decoder_type: str = "bernoulli",
         max_grad_norm: float = 1.0,
-        label_repeat: int = 10,
         random_state=None,
     ):
         check_positive(n_clusters, "n_clusters")
         check_positive(epsilon, "epsilon")
         check_probability(delta, "delta")
-        check_positive(kmeans_iterations, "kmeans_iterations")
-        check_probability(kmeans_budget_fraction, "kmeans_budget_fraction")
-        if not 0 < kmeans_budget_fraction < 1:
-            raise ValueError("kmeans_budget_fraction must be in (0, 1)")
         self.n_clusters = n_clusters
         self.latent_dim = latent_dim
         self.hidden = tuple(hidden)
@@ -92,12 +87,8 @@ class DPGM(GenerativeModel, LabelEncodingMixin):
         self.learning_rate = learning_rate
         self.epsilon = epsilon
         self.delta = delta
-        self.kmeans_iterations = kmeans_iterations
-        self.kmeans_budget_fraction = kmeans_budget_fraction
         self.min_cluster_size = min_cluster_size
-        self.decoder_type = decoder_type
         self.max_grad_norm = max_grad_norm
-        self.label_repeat = label_repeat
         self.random_state = random_state
         self._rng = as_generator(random_state)
 
@@ -114,7 +105,7 @@ class DPGM(GenerativeModel, LabelEncodingMixin):
         """Noisy Lloyd iterations on norm-clipped data; returns assignments."""
         n_samples, n_features = data.shape
         clipped = clip_rows(data, 1.0)
-        eps_per_iter = self.epsilon * self.kmeans_budget_fraction / self.kmeans_iterations
+        eps_per_iter = self.epsilon * KMEANS_BUDGET_FRACTION / KMEANS_ITERATIONS
         # Each iteration releases noisy counts (sensitivity 1) and noisy sums
         # (sensitivity 1 after clipping); split the per-iteration budget evenly.
         eps_counts = eps_per_iter / 2.0
@@ -123,7 +114,7 @@ class DPGM(GenerativeModel, LabelEncodingMixin):
         indices = self._rng.choice(n_samples, size=self.n_clusters, replace=False)
         centroids = clipped[indices].copy()
         assignments = np.zeros(n_samples, dtype=int)
-        for _ in range(self.kmeans_iterations):
+        for _ in range(KMEANS_ITERATIONS):
             distances = ((clipped[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
             assignments = np.argmin(distances, axis=1)
             for k in range(self.n_clusters):
@@ -151,7 +142,7 @@ class DPGM(GenerativeModel, LabelEncodingMixin):
     # ------------------------------------------------------------------
 
     def _fit_cluster_generators(self, data: np.ndarray, assignments: np.ndarray) -> None:
-        generator_epsilon = self.epsilon * (1.0 - self.kmeans_budget_fraction)
+        generator_epsilon = self.epsilon * (1.0 - KMEANS_BUDGET_FRACTION)
         self.generators_ = []
         for k in range(self.n_clusters):
             members = data[assignments == k]
@@ -164,7 +155,6 @@ class DPGM(GenerativeModel, LabelEncodingMixin):
                 epochs=self.epochs,
                 batch_size=min(self.batch_size, len(members)),
                 learning_rate=self.learning_rate,
-                decoder_type=self.decoder_type,
                 epsilon=generator_epsilon,
                 delta=self.delta,
                 max_grad_norm=self.max_grad_norm,
@@ -209,8 +199,7 @@ class DPGM(GenerativeModel, LabelEncodingMixin):
             if isinstance(generator, tuple):
                 _, center, scale = generator
                 samples = center + rng.normal(0.0, scale, size=(count, self.n_input_features_))
-                if self.decoder_type == "bernoulli":
-                    samples = np.clip(samples, 0.0, 1.0)
+                samples = np.clip(samples, 0.0, 1.0)
             else:
                 samples = generator.sample(count, rng=rng)
             rows[mask] = samples
@@ -224,7 +213,7 @@ class DPGM(GenerativeModel, LabelEncodingMixin):
             (g.privacy_spent()[0] for g in self.generators_ if not isinstance(g, tuple)),
             default=0.0,
         )
-        return (self.epsilon * self.kmeans_budget_fraction + generator_eps, self.delta)
+        return (self.epsilon * KMEANS_BUDGET_FRACTION + generator_eps, self.delta)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -257,7 +246,7 @@ class DPGM(GenerativeModel, LabelEncodingMixin):
         self._load_label_state(state)
         self.centroids_ = np.asarray(state["centroids"])
         self.cluster_weights_ = np.asarray(state["cluster_weights"])
-        generator_epsilon = self.epsilon * (1.0 - self.kmeans_budget_fraction)
+        generator_epsilon = self.epsilon * (1.0 - KMEANS_BUDGET_FRACTION)
         self.generators_ = []
         for k in range(self.n_clusters):
             prefix = f"generator_{k}."
@@ -273,7 +262,6 @@ class DPGM(GenerativeModel, LabelEncodingMixin):
                 epochs=self.epochs,
                 batch_size=int(state[prefix + "batch_size"]),
                 learning_rate=self.learning_rate,
-                decoder_type=self.decoder_type,
                 epsilon=generator_epsilon,
                 delta=self.delta,
                 max_grad_norm=self.max_grad_norm,

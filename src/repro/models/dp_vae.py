@@ -45,12 +45,10 @@ class DPVAE(DPSGDMixin, VAE):
         epochs: int = 10,
         batch_size: int = 100,
         learning_rate: float = 1e-3,
-        decoder_type: str = "bernoulli",
         epsilon: float = 1.0,
         delta: float = 1e-5,
         noise_multiplier: Optional[float] = None,
         max_grad_norm: float = 1.0,
-        label_repeat: int = 10,
         sampler: str = "poisson",
         random_state=None,
     ):
@@ -60,12 +58,10 @@ class DPVAE(DPSGDMixin, VAE):
             epochs=epochs,
             batch_size=batch_size,
             learning_rate=learning_rate,
-            decoder_type=decoder_type,
             epsilon=epsilon,
             delta=delta,
             noise_multiplier=noise_multiplier,
             max_grad_norm=max_grad_norm,
-            label_repeat=label_repeat,
             sampler=sampler,
             random_state=random_state,
         )

@@ -68,10 +68,7 @@ class P3GM(DPSGDMixin, PGM):
         epochs: int = 10,
         batch_size: int = 100,
         learning_rate: float = 1e-3,
-        decoder_type: str = "bernoulli",
         variance_mode: str = "learned",
-        fixed_variance: float = 0.0,
-        label_repeat: int = 10,
         epsilon: float = 1.0,
         delta: float = 1e-5,
         epsilon_pca: float = 0.1,
@@ -90,10 +87,7 @@ class P3GM(DPSGDMixin, PGM):
             epochs=epochs,
             batch_size=batch_size,
             learning_rate=learning_rate,
-            decoder_type=decoder_type,
             variance_mode=variance_mode,
-            fixed_variance=fixed_variance,
-            label_repeat=label_repeat,
             epsilon=epsilon,
             delta=delta,
             noise_multiplier=noise_multiplier,

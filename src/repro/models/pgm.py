@@ -14,8 +14,8 @@ PGM separates the VAE's end-to-end training into two phases:
 its differentially private counterpart.
 
 The ``variance_mode`` switch also implements the paper's "P3GM (AE)" ablation
-(Section V-B / Figure 7): freezing the encoder variance at a constant value
-(zero → deterministic autoencoder behaviour, KL term dropped).
+(Section V-B / Figure 7): fixing the encoder variance at zero gives
+deterministic autoencoder behaviour, and the KL term is dropped.
 """
 
 from __future__ import annotations
@@ -53,11 +53,10 @@ class PGM(DecoderModel):
         Hidden widths of the variance head and the decoder (paper: ``(1000,)``).
     variance_mode:
         ``"learned"`` — the encoder variance is trained in the decoding phase
-        (full P3GM); ``"fixed"`` — the variance is frozen at
-        ``fixed_variance`` (``0`` reproduces the AE-like ablation, where the
-        KL term is constant and dropped).
-    decoder_type:
-        ``"bernoulli"`` or ``"gaussian"``; see :class:`repro.models.VAE`.
+        (full P3GM); ``"fixed"`` — the variance is zero, the AE-like ablation
+        whose KL term is constant and dropped.
+
+    The decoder is Bernoulli, as in :class:`repro.models.VAE`.
     """
 
     def __init__(
@@ -69,10 +68,7 @@ class PGM(DecoderModel):
         epochs: int = 10,
         batch_size: int = 100,
         learning_rate: float = 1e-3,
-        decoder_type: str = "bernoulli",
         variance_mode: str = "learned",
-        fixed_variance: float = 0.0,
-        label_repeat: int = 10,
         sampler: str = "shuffle",
         random_state=None,
     ):
@@ -82,8 +78,6 @@ class PGM(DecoderModel):
             epochs=epochs,
             batch_size=batch_size,
             learning_rate=learning_rate,
-            decoder_type=decoder_type,
-            label_repeat=label_repeat,
             sampler=sampler,
             random_state=random_state,
         )
@@ -91,12 +85,9 @@ class PGM(DecoderModel):
         check_positive(em_iterations, "em_iterations")
         if variance_mode not in ("learned", "fixed"):
             raise ValueError("variance_mode must be 'learned' or 'fixed'")
-        if fixed_variance < 0:
-            raise ValueError("fixed_variance must be non-negative")
         self.n_mixture_components = n_mixture_components
         self.em_iterations = em_iterations
         self.variance_mode = variance_mode
-        self.fixed_variance = fixed_variance
 
         self.reducer = None
         self.prior: Optional[GaussianMixture] = None
@@ -147,7 +138,6 @@ class PGM(DecoderModel):
     def _build_networks(self, n_features: int) -> None:
         from repro.nn.layers import final_linear
 
-        output_activation = "sigmoid" if self.decoder_type == "bernoulli" else None
         self.variance_head = MLP(
             n_features, self.hidden, self.effective_latent_dim_, rng=self._rng
         )
@@ -155,7 +145,7 @@ class PGM(DecoderModel):
             self.effective_latent_dim_,
             self.hidden,
             n_features,
-            output_activation=output_activation,
+            output_activation="sigmoid",
             rng=self._rng,
         )
         # Neutral starting point (log-variance ~ 0, decoder probability ~ 0.5):
@@ -167,38 +157,31 @@ class PGM(DecoderModel):
         """Run the encoding phase, then build the decoding-phase networks."""
         projected = self._encoding_phase(data)
         self._build_networks(self.n_input_features_)
-        return lambda index: self._per_example_loss(data[index], projected[index])
+        return lambda index: self._per_example_loss(data[index], self._rng, projected[index])
 
     def _parameters(self):
         if self.variance_mode == "learned":
             yield from self.variance_head.parameters()
         yield from self.decoder.parameters()
 
-    def _log_variance(self, x: Tensor, batch_size: int) -> Optional[Tensor]:
-        """Encoder log-variance; ``None`` means a deterministic encoder (AE mode)."""
-        if self.variance_mode == "learned":
-            return self.variance_head(x).clip(-10.0, 10.0)
-        if self.fixed_variance == 0.0:
-            return None
-        value = np.full((batch_size, self.effective_latent_dim_), np.log(self.fixed_variance))
-        return Tensor(value)
-
-    def _per_example_loss(self, batch: np.ndarray, projected=None) -> tuple:
+    def _per_example_loss(self, batch: np.ndarray, rng, projected=None) -> tuple:
         """Per-example (reconstruction, kl) for the decoding-phase objective (Eq. 8).
 
-        ``projected`` is the fixed encoder mean ``f(batch)``, computed when
-        not given (training slices the encoding phase's projection instead).
+        ``rng`` draws the reparameterisation noise (training passes the
+        model's own stream).  ``projected`` is the fixed encoder mean
+        ``f(batch)``, computed when not given (training slices the encoding
+        phase's projection instead).
         """
         if projected is None:
             projected = self._project(batch)
-        x = Tensor(batch)
         mu = Tensor(projected)  # fixed encoder mean: no gradient flows into it
-        log_var = self._log_variance(x, len(batch))
-        if log_var is None:
+        if self.variance_mode == "fixed":
+            # Zero variance: a deterministic encoder, and a constant KL term.
             z = mu
             kl = Tensor(np.zeros(len(batch)))
         else:
-            noise = Tensor(self._rng.normal(size=mu.shape))
+            log_var = self.variance_head(Tensor(batch)).clip(-10.0, 10.0)
+            noise = Tensor(rng.normal(size=mu.shape))
             z = mu + (log_var * 0.5).exp() * noise
             kl = kl_gaussian_to_mog(
                 mu,

@@ -49,6 +49,9 @@ from repro.utils.validation import (
 
 __all__ = ["PrivBayes"]
 
+#: Most candidate parent sets structure learning scores per attribute.
+MAX_PARENT_CANDIDATES = 50
+
 
 def _attribute_state(transform) -> tuple:
     """``(kind, payload)`` in the historical artifact layout."""
@@ -83,9 +86,9 @@ class PrivBayes(GenerativeModel):
         on high-dimensional data (Table VI/VII).
     n_bins:
         Number of equal-width bins for continuous attributes.
-    max_parent_candidates:
-        Cap on the number of candidate parent sets scored per attribute, to
-        keep structure learning tractable on wide datasets.
+
+    Structure learning scores at most :data:`MAX_PARENT_CANDIDATES` candidate
+    parent sets per attribute, which keeps it tractable on wide datasets.
     """
 
     def __init__(
@@ -93,17 +96,14 @@ class PrivBayes(GenerativeModel):
         epsilon: float = 1.0,
         degree: int = 2,
         n_bins: int = 10,
-        max_parent_candidates: int = 50,
         random_state=None,
     ):
         check_positive(epsilon, "epsilon")
         check_positive(degree, "degree")
         check_positive(n_bins, "n_bins")
-        check_positive(max_parent_candidates, "max_parent_candidates")
         self.epsilon = epsilon
         self.degree = degree
         self.n_bins = n_bins
-        self.max_parent_candidates = max_parent_candidates
         self.random_state = random_state
         self._rng = as_generator(random_state)
 
@@ -204,8 +204,8 @@ class PrivBayes(GenerativeModel):
             candidates.extend(itertools.combinations(placed[-8:], size))
         if not candidates:
             candidates = [tuple()]
-        if len(candidates) > self.max_parent_candidates:
-            chosen = self._rng.choice(len(candidates), size=self.max_parent_candidates, replace=False)
+        if len(candidates) > MAX_PARENT_CANDIDATES:
+            chosen = self._rng.choice(len(candidates), size=MAX_PARENT_CANDIDATES, replace=False)
             candidates = [candidates[i] for i in chosen]
         return candidates
 

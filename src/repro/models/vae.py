@@ -25,6 +25,10 @@ __all__ = ["VAE"]
 class VAE(DecoderModel):
     """Auto-Encoding Variational Bayes with an isotropic Gaussian prior.
 
+    The decoder is Bernoulli: it outputs per-feature probabilities and the
+    reconstruction term is a sum of binary cross-entropies, so the data must
+    lie in ``[0, 1]``.
+
     Parameters
     ----------
     latent_dim:
@@ -33,11 +37,6 @@ class VAE(DecoderModel):
         Hidden layer widths of both encoder and decoder (paper: ``(1000,)``).
     epochs, batch_size, learning_rate:
         Standard optimisation hyper-parameters (Adam).
-    decoder_type:
-        ``"bernoulli"`` — the decoder outputs per-feature probabilities and the
-        reconstruction term is a sum of binary cross-entropies (data must lie
-        in ``[0, 1]``); ``"gaussian"`` — the decoder outputs means of a
-        unit-variance Gaussian and the reconstruction term is a squared error.
     sampler:
         Batch-construction strategy: ``"shuffle"`` (default; one pass over a
         permutation per epoch) or ``"poisson"`` (independent per-step record
@@ -52,10 +51,9 @@ class VAE(DecoderModel):
     def _build(self, n_features: int) -> None:
         from repro.nn.layers import final_linear
 
-        output_activation = "sigmoid" if self.decoder_type == "bernoulli" else None
         self.encoder = MLP(n_features, self.hidden, 2 * self.latent_dim, rng=self._rng)
         self.decoder = MLP(
-            self.latent_dim, self.hidden, n_features, output_activation=output_activation, rng=self._rng
+            self.latent_dim, self.hidden, n_features, output_activation="sigmoid", rng=self._rng
         )
         # Start the encoder at (mu, log_var) ~ 0 and the decoder at p ~ 0.5: a
         # neutral initialisation that noisy, clipped DP-SGD can improve on
@@ -65,7 +63,7 @@ class VAE(DecoderModel):
 
     def _prepare_training(self, data: np.ndarray):
         self._build(self.n_input_features_)
-        return lambda index: self._per_example_loss(data[index])
+        return lambda index: self._per_example_loss(data[index], self._rng)
 
     def _parameters(self):
         yield from self.encoder.parameters()
@@ -79,15 +77,16 @@ class VAE(DecoderModel):
         log_var = encoded[:, self.latent_dim :].clip(-10.0, 10.0)
         return mu, log_var
 
-    def _reparameterize(self, mu: Tensor, log_var: Tensor) -> Tensor:
-        noise = Tensor(self._rng.normal(size=mu.shape))
-        return mu + (log_var * 0.5).exp() * noise
+    def _per_example_loss(self, batch: np.ndarray, rng) -> tuple:
+        """Return per-example ``(reconstruction, kl)`` tensors for a batch.
 
-    def _per_example_loss(self, batch: np.ndarray) -> tuple:
-        """Return per-example ``(reconstruction, kl)`` tensors for a batch."""
+        ``rng`` draws the reparameterisation noise (training passes the
+        model's own stream).
+        """
         x = Tensor(batch)
         mu, log_var = self._encode(x)
-        z = self._reparameterize(mu, log_var)
+        noise = Tensor(rng.normal(size=mu.shape))
+        z = mu + (log_var * 0.5).exp() * noise
         decoded = self.decoder(z)
         reconstruction = self._reconstruction_term(decoded, batch)
         kl = F.kl_standard_normal(mu, log_var, reduction="none")

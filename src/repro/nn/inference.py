@@ -13,15 +13,15 @@ clip).  :func:`compile_inference` walks a fitted :class:`~repro.nn.layers.MLP`
   a width), with the bias added in place;
 - activations applied **in place** on the affine output (sigmoid as the
   exact clip/negate/exp/add/divide chain of the tape op);
-- fused epilogues: the Bernoulli ``clip(0, 1)`` runs in place on the output
-  buffer instead of producing one more full-size copy, and
-  :func:`label_scores` folds the replicated one-hot label block without
-  copying it.
+- fused epilogues: every plan ends in the Bernoulli decoder's ``clip(0, 1)``,
+  run in place on the output buffer instead of producing one more full-size
+  copy, and :func:`label_scores` folds the replicated one-hot label block
+  without copying it.
 
 **Bit-identity contract.**  Every elementwise chain replicates the tape op's
 exact operation order and dtype, so a compiled forward returns *bit-identical*
-float64 output to ``module(Tensor(x)).data`` under ``no_grad()``.  Two
-subtleties are load-bearing:
+float64 output to ``np.clip(module(Tensor(x)).data, 0, 1)`` under
+``no_grad()``.  Two subtleties are load-bearing:
 
 - the tape ReLU is ``x * (x > 0)`` — multiply by a bool mask, which maps
   negative values to ``-0.0`` — so the fused kernel multiplies in place by
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Optional
 
 import numpy as np
 
@@ -72,33 +71,27 @@ class CompileError(ValueError):
 # Observability
 # ---------------------------------------------------------------------------
 
-_metrics_lock = threading.Lock()
-_metrics: Optional[tuple] = None
-
 
 def inference_metrics():
-    """The ``(calls_counter, rows_counter)`` pair on the process registry.
+    """The ``(calls_counter, rows_counter)`` pair on the current process registry.
 
-    Created lazily so importing this module never touches the registry, and
-    cached because the hot path increments them once per compiled call.
+    Looked up on every call, so a registry swapped in with
+    :func:`repro.obs.set_registry` receives the counts from then on; importing
+    this module never touches the registry.
     """
-    global _metrics
-    with _metrics_lock:
-        if _metrics is None:
-            from repro.obs import get_registry
+    from repro.obs import get_registry
 
-            registry = get_registry()
-            _metrics = (
-                registry.counter(
-                    "repro_inference_fused_calls_total",
-                    "Decoder forward passes served by the fused tape-free path",
-                ),
-                registry.counter(
-                    "repro_inference_fused_rows_total",
-                    "Rows decoded through the fused tape-free path",
-                ),
-            )
-        return _metrics
+    registry = get_registry()
+    return (
+        registry.counter(
+            "repro_inference_fused_calls_total",
+            "Decoder forward passes served by the fused tape-free path",
+        ),
+        registry.counter(
+            "repro_inference_fused_rows_total",
+            "Rows decoded through the fused tape-free path",
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +128,6 @@ def _sigmoid_(buf: np.ndarray) -> None:
 
 _ACTIVATIONS = {ReLU: _relu_, Sigmoid: _sigmoid_}
 
-_EPILOGUES = ("clip01",)
-
 
 def _walk(module) -> list:
     """Flatten a module tree into an op list of ``_Affine`` and in-place
@@ -159,13 +150,10 @@ def _walk(module) -> list:
 class CompiledForward:
     """A fused, tape-free forward emitted by :func:`compile_inference`."""
 
-    def __init__(self, ops: list, epilogue: Optional[str] = None):
-        if epilogue is not None and epilogue not in _EPILOGUES:
-            raise CompileError(f"unknown epilogue {epilogue!r}")
+    def __init__(self, ops: list):
         if not ops:
             raise CompileError("module contains no ops to fuse")
         self._ops = ops
-        self._epilogue = epilogue
         # Intermediate affine outputs (all but the last) get cached buffers;
         # the returned array is always freshly allocated.
         affine_indices = [i for i, op in enumerate(ops) if isinstance(op, _Affine)]
@@ -216,22 +204,21 @@ class CompiledForward:
                     h = h.copy()
                     owned = True
                 op(h)
-        if self._epilogue == "clip01":
-            np.clip(h, 0.0, 1.0, out=h)
+        np.clip(h, 0.0, 1.0, out=h)
         calls, rows = inference_metrics()
         calls.inc()
         rows.inc(x.shape[0])
         return h
 
 
-def compile_inference(module, epilogue: Optional[str] = None) -> CompiledForward:
-    """Compile a fitted module into a fused tape-free forward.
+def compile_inference(module) -> CompiledForward:
+    """Compile a fitted decoder module into a fused tape-free forward.
 
+    The plan ends in the Bernoulli decoder's output clip to ``[0, 1]``.
     Raises :class:`CompileError` when the module holds an op the fused path
-    cannot replicate bit-for-bit.  ``epilogue="clip01"`` folds the
-    Bernoulli-decoder output clip into the same pass.
+    cannot replicate bit-for-bit.
     """
-    return CompiledForward(_walk(module), epilogue=epilogue)
+    return CompiledForward(_walk(module))
 
 
 # Plans keyed weakly on the module: models that rebuild their decoder (every
@@ -243,19 +230,16 @@ _plan_lock = threading.Lock()
 _plans: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def compiled_plan(module, epilogue: Optional[str] = None) -> CompiledForward:
+def compiled_plan(module) -> CompiledForward:
     """The cached compiled forward for ``module``.
 
     Raises :class:`CompileError` (and caches nothing) when the module does
     not compile.
     """
     with _plan_lock:
-        per_module = _plans.get(module)
-        if per_module is None:
-            per_module = _plans[module] = {}
-        plan = per_module.get(epilogue)
+        plan = _plans.get(module)
         if plan is None:
-            plan = per_module[epilogue] = compile_inference(module, epilogue=epilogue)
+            plan = _plans[module] = compile_inference(module)
     return plan
 
 

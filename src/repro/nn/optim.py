@@ -25,6 +25,9 @@ __all__ = ["BLOCK", "Optimizer", "SGD", "Adam"]
 #: buffers one block of an update touches stay in cache together.
 BLOCK = 32768
 
+#: Adam's moment decay rates and denominator offset (Kingma & Ba's values).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Optimizer:
     """Base optimizer: owns the parameter arena and the flat gradient.
@@ -170,23 +173,16 @@ class Adam(Optimizer):
     The first and second moments are flat arrays laid out like the parameter
     arena; each block goes through the textbook update's operations in the
     textbook order, so the result is bit-identical to the out-of-place
-    per-parameter form.  Checkpoints keep one ``m.{i}``/``v.{i}`` entry per
-    parameter.
+    per-parameter form.  The decay rates and offset are :data:`BETA1`,
+    :data:`BETA2` and :data:`EPS`.  Checkpoints keep one ``m.{i}``/``v.{i}``
+    entry per parameter.
     """
 
-    def __init__(
-        self,
-        params,
-        lr: float = 0.001,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params, lr: float = 0.001):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         super().__init__(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self._m = np.zeros_like(self._values)
         self._v = np.zeros_like(self._values)
         self._work2 = np.empty_like(self._work)
@@ -201,20 +197,20 @@ class Adam(Optimizer):
         m, v, w = self._m[index], self._v[index], self._values[index]
         a, b = self._work[:n], self._work2[:n]
         # m = beta1 * m + (1 - beta1) * g
-        np.multiply(m, self.beta1, out=m)
-        np.multiply(grad, 1 - self.beta1, out=a)
+        np.multiply(m, BETA1, out=m)
+        np.multiply(grad, 1 - BETA1, out=a)
         np.add(m, a, out=m)
         # v = beta2 * v + (1 - beta2) * g**2
-        np.multiply(v, self.beta2, out=v)
+        np.multiply(v, BETA2, out=v)
         np.square(grad, out=a)
-        np.multiply(a, 1 - self.beta2, out=a)
+        np.multiply(a, 1 - BETA2, out=a)
         np.add(v, a, out=v)
         # w = w - lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
-        np.divide(m, 1 - self.beta1**self._t, out=a)
+        np.divide(m, 1 - BETA1**self._t, out=a)
         np.multiply(a, self.lr, out=a)
-        np.divide(v, 1 - self.beta2**self._t, out=b)
+        np.divide(v, 1 - BETA2**self._t, out=b)
         np.sqrt(b, out=b)
-        np.add(b, self.eps, out=b)
+        np.add(b, EPS, out=b)
         np.divide(a, b, out=a)
         np.subtract(w, a, out=w)
 

@@ -138,9 +138,13 @@ class WorkerPool:
 
     def start(self) -> "WorkerPool":
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind(self.address)
-        listener.listen(SynthesisHTTPServer.request_queue_size)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind(self.address)
+            listener.listen(SynthesisHTTPServer.request_queue_size)
+        except BaseException:
+            listener.close()
+            raise
         self._socket = listener
         if self._explicit_control_dir is not None:
             self._control_dir = Path(self._explicit_control_dir)

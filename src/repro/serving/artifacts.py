@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from repro import __version__
-from repro.serving.registry import MODEL_REGISTRY, resolve_model_class
+from repro.serving.registry import MODEL_REGISTRY, model_from_config, resolve_model_class
 
 __all__ = [
     "ARTIFACT_FORMAT_VERSION",
@@ -226,7 +226,7 @@ def load_artifact(path, expected_class=None):
         raise ArtifactError(str(error)) from error
 
     try:
-        model = cls(**manifest["hyperparameters"])
+        model = model_from_config(cls, manifest["hyperparameters"])
     except (TypeError, ValueError) as error:
         raise ArtifactError(
             f"artifact {path} carries hyperparameters {class_name} does not accept "

@@ -72,7 +72,7 @@ def make_mixed_contract_setup(random_state: int = 0):
     return dataset, transformer
 
 
-def tape_decode_rows(decoder, latent, decoder_type):
+def tape_decode_rows(decoder, latent):
     """The autograd-tape reference for ``repro.models.base.decode_rows``.
 
     The decoder's forward under ``no_grad``, with the Bernoulli output clip:
@@ -80,6 +80,5 @@ def tape_decode_rows(decoder, latent, decoder_type):
     """
     with no_grad():
         decoded = decoder(Tensor(latent)).data
-    if decoder_type == "bernoulli":
-        np.clip(decoded, 0.0, 1.0, out=decoded)
+    np.clip(decoded, 0.0, 1.0, out=decoded)
     return decoded

@@ -24,6 +24,7 @@ import pytest
 
 import repro.models.decoder as decoder_module
 from contract_kit import tape_decode_rows
+from repro.models import PrivBayes
 from repro.nn.inference import compiled_plan
 from repro.obs import MetricsRegistry
 from repro.server import ServingClient, SynthesisHTTPServer
@@ -57,8 +58,9 @@ def test_every_neural_decoder_decodes_through_the_patch_point(
     name, fitted_contract_models
 ):
     # The comparisons below are only meaningful if the tape reference really
-    # replaces the plan: every model with a neural decoder (it records a
-    # ``decoder_type``) must decode through repro.models.decoder.decode_rows.
+    # replaces the plan: every model with a neural decoder (all but the
+    # Bayesian-network PrivBayes) must decode through
+    # repro.models.decoder.decode_rows.
     model = fitted_contract_models[name]
     calls = []
 
@@ -68,7 +70,7 @@ def test_every_neural_decoder_decodes_through_the_patch_point(
 
     with _tape_decoding(counting_decode):
         model.sample(60, rng=np.random.default_rng(0))
-    assert bool(calls) == ("decoder_type" in model.get_config())
+    assert bool(calls) == (not isinstance(model, PrivBayes))
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)

@@ -35,7 +35,9 @@ def make_training_setup(data, epochs=4, seed=0, callbacks=None):
     trainer = Trainer(
         model, optimizer, ShuffleSampler(model.batch_size), callbacks=callbacks, rng=model._rng
     )
-    return model, trainer, prepared, lambda idx: model._per_example_loss(prepared[idx])
+    return (
+        model, trainer, prepared, lambda idx: model._per_example_loss(prepared[idx], model._rng)
+    )
 
 
 def abort_at(epoch_to_abort):
@@ -72,6 +74,33 @@ class TestSaveLoadRoundTrip:
         for key, value in salvaged.state_dict().items():
             np.testing.assert_array_equal(value, expected[key])
         assert salvaged.sample(5, rng=0).shape == (5, toy_unlabeled_data.shape[1])
+
+    @pytest.mark.parametrize(
+        "recorded, refused",
+        [
+            ({"decoder_type": "bernoulli", "label_repeat": 10}, None),
+            ({"decoder_type": "gaussian"}, "decoder_type"),
+            ({"label_repeat": 3}, "label_repeat"),
+        ],
+    )
+    def test_build_model_reads_parameters_an_earlier_build_recorded(
+        self, tmp_path, toy_unlabeled_data, recorded, refused
+    ):
+        import json
+
+        model, trainer, _, loss = make_training_setup(toy_unlabeled_data, epochs=1)
+        trainer.fit(len(toy_unlabeled_data), 1, loss)
+        path = save_checkpoint(tmp_path / "epoch-000001", trainer, model, next_epoch=1)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["hyperparameters"].update(recorded)
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        if refused is not None:
+            with pytest.raises(CheckpointError, match=refused):
+                load_checkpoint(path).build_model()
+            return
+        salvaged = load_checkpoint(path).build_model()
+        assert salvaged.get_config() == model.get_config()
+        assert salvaged.sample(9, rng=4).tobytes() == model.sample(9, rng=4).tobytes()
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(CheckpointError):

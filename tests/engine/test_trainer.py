@@ -81,7 +81,7 @@ def seed_loop_history(X, **vae_params):
         for start in range(0, n_samples, batch_size):
             batch = data[order[start : start + batch_size]]
             optimizer.zero_grad()
-            reconstruction, kl = model._per_example_loss(batch)
+            reconstruction, kl = model._per_example_loss(batch, model._rng)
             (reconstruction + kl).mean().backward()
             optimizer.step()
             epoch_recon += float(reconstruction.data.mean())
@@ -154,7 +154,7 @@ class TestTrainerMechanics:
             callbacks=[HistoryLogger()],
             rng=model._rng,
         )
-        trainer.fit(len(data), 1, lambda idx: model._per_example_loss(data[idx]))
+        trainer.fit(len(data), 1, lambda idx: model._per_example_loss(data[idx], model._rng))
         # A batch-less epoch must not fabricate 0.0 losses; it logs NaN.
         assert len(model.history) == 1
         assert np.isnan(model.history.last("elbo_loss"))
@@ -174,7 +174,7 @@ class TestTrainerMechanics:
             callbacks=[steps, HistoryLogger()],
             rng=model._rng,
         )
-        trainer.fit(len(data), 1, lambda idx: model._per_example_loss(data[idx]))
+        trainer.fit(len(data), 1, lambda idx: model._per_example_loss(data[idx], model._rng))
         assert [logs["step"] for logs in steps.logs] == [1]
         assert trainer.global_step == 1
         record, first = model.history.records[-1], steps.logs[0]
@@ -210,7 +210,7 @@ class TestTrainerMechanics:
         data = model._attach_labels(np.full((20, 3), 0.5), None)
         steps = StepRecorder()
         trainer = private_trainer(model, BatchThenEmptySampler(sample_rate=0.25, steps=2), [steps])
-        trainer.fit(len(data), 1, lambda idx: model._per_example_loss(data[idx]))
+        trainer.fit(len(data), 1, lambda idx: model._per_example_loss(data[idx], model._rng))
         # Step callbacks see both steps; the empty one carries NaN losses.
         assert [logs["step"] for logs in steps.logs] == [1, 2]
         assert np.isnan([steps.logs[1]["reconstruction_loss"], steps.logs[1]["kl_loss"]]).all()

@@ -106,8 +106,6 @@ class TestBinaryClassifiers:
             AdaBoostClassifier(n_estimators=0)
         with pytest.raises(ValueError):
             XGBClassifier(subsample=0.0)
-        with pytest.raises(ValueError):
-            LogisticRegression(l2=-1.0)
 
 
 class TestMulticlass:

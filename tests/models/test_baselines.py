@@ -55,10 +55,6 @@ class TestDPGM:
         with pytest.raises(RuntimeError):
             self.make_model().sample(5)
 
-    def test_invalid_budget_fraction(self):
-        with pytest.raises(ValueError):
-            self.make_model(kmeans_budget_fraction=0.0)
-
     def test_lower_sample_diversity_than_training_data(self, toy_labeled_data):
         """The paper's criticism: DP-GM samples concentrate near centroids."""
         X, y = toy_labeled_data

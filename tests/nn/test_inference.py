@@ -2,7 +2,8 @@
 
 Sampling has no tape fallback: a module the fused path cannot reproduce
 raises :class:`CompileError`, and a module that compiles must return the
-autograd forward's rows bit for bit.
+autograd forward's rows, clipped to ``[0, 1]`` like a Bernoulli decoder's,
+bit for bit.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from repro.models.base import decode_rows
 from repro.nn import CompileError, Linear, Module, ReLU, Sequential, Sigmoid, Tensor, no_grad
 from repro.nn.inference import compile_inference, compiled_plan
+from repro.obs import MetricsRegistry, set_registry
 
 
 class Square(Module):
@@ -22,17 +24,13 @@ class Square(Module):
 
 def tape_forward(module, x):
     with no_grad():
-        return module(Tensor(x)).data
+        return np.clip(module(Tensor(x)).data, 0.0, 1.0)
 
 
 class TestCompileErrors:
     def test_module_without_a_kernel_is_refused(self):
         with pytest.raises(CompileError, match="cannot fuse Square"):
             compile_inference(Sequential(Linear(3, 4, rng=0), Square()))
-
-    def test_unknown_epilogue_is_refused(self):
-        with pytest.raises(CompileError, match="unknown epilogue"):
-            compile_inference(Linear(3, 4, rng=0), epilogue="tanh")
 
     def test_module_without_ops_is_refused(self):
         with pytest.raises(CompileError, match="no ops"):
@@ -54,4 +52,34 @@ class TestCompiledPlan:
     def test_decode_rows_raises_instead_of_decoding_on_the_tape(self):
         decoder = Sequential(Linear(2, 3, rng=0), Square())
         with pytest.raises(CompileError, match="cannot fuse Square"):
-            decode_rows(decoder, np.zeros((4, 2)), "bernoulli")
+            decode_rows(decoder, np.zeros((4, 2)))
+
+    def test_every_plan_ends_in_the_bernoulli_clip(self):
+        net = Linear(3, 4, rng=0)
+        x = 10.0 * np.random.default_rng(1).normal(size=(6, 3))
+        rows = compile_inference(net)(x)
+        assert rows.min() == 0.0 and rows.max() == 1.0
+        assert rows.tobytes() == tape_forward(net, x).tobytes()
+
+
+def test_fused_counters_follow_the_current_registry():
+    net = Sequential(Linear(3, 4, rng=0), Sigmoid())
+    x = np.zeros((5, 3))
+    first, second = MetricsRegistry(), MetricsRegistry()
+    previous = set_registry(first)
+    try:
+        compiled_plan(net)(x)
+        set_registry(second)
+        compiled_plan(net)(x)
+        compiled_plan(net)(x[:2])
+    finally:
+        set_registry(previous)
+
+    def counts(registry):
+        return tuple(
+            registry.counter(f"repro_inference_fused_{kind}_total").total()
+            for kind in ("calls", "rows")
+        )
+
+    assert counts(first) == (1, 5)
+    assert counts(second) == (2, 7)

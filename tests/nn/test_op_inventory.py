@@ -73,7 +73,7 @@ def tiny_fits():
     DPVAE(latent_dim=2, epsilon=10.0, **shared).fit(X, y)
     PGM(**phased).fit(X, y)
     P3GM(epsilon=10.0, **phased).fit(X, y)
-    P3GM(epsilon=10.0, variance_mode="fixed", fixed_variance=0.1, **phased).fit(X, y)
+    P3GM(epsilon=10.0, variance_mode="fixed", **phased).fit(X, y)
     classifier = MLPClassifier(hidden=(8,), epochs=1, batch_size=20, random_state=0)
     classifier.fit(X, y).predict_proba(X)
 

@@ -1,25 +1,29 @@
 """Fault injection for the pre-fork pool: crashes truncate, never hang.
 
-Three guarantees that make the pool operable:
+Four guarantees that make the pool operable:
 
 - SIGKILLing the worker that owns a stream closes that client's connection
   (a truncated body, detected immediately) instead of leaving it hung;
 - the supervisor reaps and respawns the dead worker, so the pool's capacity
   recovers and the next request succeeds;
 - SIGTERM is a drain, not a kill: a worker told to exit finishes the stream
-  it is serving — every row arrives — before the process goes away.
+  it is serving — every row arrives — before the process goes away;
+- a pool that cannot bind its port raises and leaves no socket open.
 """
 
+import gc
 import http.client
 import json
 import os
 import signal
+import socket
 import threading
 import time
+import warnings
 
 import pytest
 
-from repro.server import WORKER_HEADER
+from repro.server import WORKER_HEADER, WorkerPool
 from server_kit import serve_pool
 
 
@@ -155,3 +159,16 @@ class TestGracefulDrain:
             assert "error" not in result, f"stream broke during drain: {result}"
             assert len(result["body"].decode("utf-8").splitlines()) == self.N_ROWS
             assert pool.worker_pids == []
+
+
+def test_start_on_a_taken_port_closes_its_socket():
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        pool = WorkerPool(taken.getsockname(), lambda: None, 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(OSError):
+                pool.start()
+            gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

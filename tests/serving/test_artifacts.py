@@ -107,11 +107,19 @@ class TestManifestValidation:
         with pytest.raises(ArtifactError, match="privacy"):
             read_manifest(artifact)
 
-    def test_unacceptable_hyperparameters_are_refused(self, artifact):
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("from_the_future", 42, "does not accept"),
+            # A retired parameter loads only at the one value now fixed.
+            ("decoder_type", "gaussian", "decoder_type='gaussian'"),
+        ],
+    )
+    def test_unacceptable_hyperparameters_are_refused(self, artifact, key, value, message):
         manifest = json.loads((artifact / "manifest.json").read_text())
-        manifest["hyperparameters"]["from_the_future"] = 42
+        manifest["hyperparameters"][key] = value
         (artifact / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ArtifactError, match="does not accept"):
+        with pytest.raises(ArtifactError, match=message):
             load_artifact(artifact)
 
     def test_missing_weights_is_refused(self, artifact):
@@ -128,3 +136,38 @@ class TestManifestValidation:
 
         with pytest.raises(RuntimeError, match="not fitted"):
             save_artifact(VAE(), tmp_path / "unfitted")
+
+
+#: Parameters earlier builds recorded in each model's manifest, at the one
+#: value this build fixes.
+RETIRED_AT_FIXED_VALUES = {
+    "p3gm": {"decoder_type": "bernoulli", "fixed_variance": 0.0, "label_repeat": 10},
+    "dp-gm": {
+        "decoder_type": "bernoulli",
+        "label_repeat": 10,
+        "kmeans_iterations": 4,
+        "kmeans_budget_fraction": 0.1,
+    },
+    "privbayes": {"max_parent_candidates": 50},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED_AT_FIXED_VALUES))
+def test_manifest_with_retired_hyperparameters_loads_bit_identically(
+    name, fitted_models, tmp_path
+):
+    model = fitted_models[name]
+    path = save_artifact(model, tmp_path / name)
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["hyperparameters"].update(RETIRED_AT_FIXED_VALUES[name])
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    loaded = load_artifact(path)
+    assert loaded.get_config() == model.get_config()
+    assert loaded.privacy_spent() == model.privacy_spent()
+    for draw in (
+        lambda m: m.sample(64, rng=np.random.default_rng(11)),
+        lambda m: m.sample_labeled(
+            32, rng=np.random.default_rng(5), generation_rng=np.random.default_rng(6)
+        )[0],
+    ):
+        assert draw(loaded).tobytes() == draw(model).tobytes()
