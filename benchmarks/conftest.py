@@ -1,8 +1,8 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper, prints it in the
-paper's row/series format, and saves the text into ``benchmarks/results/`` so
-EXPERIMENTS.md can reference the exact numbers produced on this machine.
+paper's row/series format, and saves the text into ``benchmarks/results/``, so
+the exact numbers a run produced stay in the tree next to the code.
 
 The benchmarks default to laptop-scale configurations (small simulated
 datasets, narrow networks).  Set ``REPRO_BENCH_PROFILE=full`` to run closer to

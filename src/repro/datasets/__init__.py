@@ -2,7 +2,7 @@
 
 from repro.datasets.base import Dataset
 from repro.datasets.images import make_fashion_mnist, make_mnist
-from repro.datasets.registry import DATASET_REGISTRY, dataset_summaries, load_dataset
+from repro.datasets.registry import DATASET_REGISTRY, load_dataset
 from repro.datasets.tabular import (
     make_adult,
     make_adult_mixed,
@@ -22,5 +22,4 @@ __all__ = [
     "make_fashion_mnist",
     "DATASET_REGISTRY",
     "load_dataset",
-    "dataset_summaries",
 ]

@@ -11,7 +11,7 @@ from repro.datasets.tabular import (
     make_isolet,
 )
 
-__all__ = ["DATASET_REGISTRY", "load_dataset", "dataset_summaries"]
+__all__ = ["DATASET_REGISTRY", "load_dataset"]
 
 DATASET_REGISTRY = {
     "credit": make_credit,
@@ -69,11 +69,3 @@ def load_dataset(name: str, n_samples=None, random_state=None, subsample=None):
     if subsample is not None:
         dataset = dataset.subsample(subsample, random_state=random_state)
     return dataset
-
-
-def dataset_summaries(n_samples=None, random_state=0) -> list:
-    """Summaries of every simulated dataset (the reproduction's Table III)."""
-    return [
-        load_dataset(name, n_samples=n_samples, random_state=random_state).summary()
-        for name in DATASET_REGISTRY
-    ]

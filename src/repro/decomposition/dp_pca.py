@@ -84,7 +84,3 @@ class DPPCA(PCA):
         self._check_fitted()
         X = check_array(X, "X")
         return clip_rows(X - self.mean_, self.clip_norm) @ self.components_.T
-
-    def privacy_spent(self) -> float:
-        """The pure-DP budget consumed by fitting (0 if never fitted)."""
-        return self.epsilon if self.components_ is not None else 0.0

@@ -70,21 +70,6 @@ class PCA:
         X = check_array(X, "X")
         return (X - self.mean_) @ self.components_.T
 
-    def inverse_transform(self, Z) -> np.ndarray:
-        """Map projected data back to the original feature space."""
-        self._check_fitted()
-        Z = check_array(Z, "Z")
-        return Z @ self.components_ + self.mean_
-
-    def fit_transform(self, X) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-    def reconstruction_error(self, X) -> float:
-        """Mean squared reconstruction error of ``X`` (objective (5) in the paper)."""
-        X = check_array(X, "X")
-        reconstructed = self.inverse_transform(self.transform(X))
-        return float(np.mean(np.sum((X - reconstructed) ** 2, axis=1)))
-
     def _check_fitted(self) -> None:
         if self.components_ is None:
             raise RuntimeError("PCA instance is not fitted yet; call fit() first")

@@ -32,10 +32,6 @@ class BatchSampler:
         """Yield one index array per optimizer step for a single epoch."""
         raise NotImplementedError
 
-    def steps_per_epoch(self, n_samples: int) -> int:
-        """Number of optimizer steps one epoch performs."""
-        raise NotImplementedError
-
 
 class ShuffleSampler(BatchSampler):
     """Shuffle-and-partition batching (one pass over the data per epoch)."""
@@ -49,10 +45,6 @@ class ShuffleSampler(BatchSampler):
         order = rng.permutation(n_samples)
         for start in range(0, n_samples, batch_size):
             yield order[start : start + batch_size]
-
-    def steps_per_epoch(self, n_samples: int) -> int:
-        batch_size = min(self.batch_size, n_samples)
-        return int(np.ceil(n_samples / batch_size))
 
 
 class PoissonSampler(BatchSampler):
@@ -80,9 +72,6 @@ class PoissonSampler(BatchSampler):
     def epoch_batches(self, n_samples: int, rng) -> Iterator[np.ndarray]:
         for _ in range(self.steps):
             yield np.flatnonzero(rng.random(n_samples) < self.sample_rate)
-
-    def steps_per_epoch(self, n_samples: int) -> int:
-        return self.steps
 
 
 def make_sampler(kind: str, n_samples: int, batch_size: int) -> BatchSampler:

@@ -6,8 +6,7 @@ trial params its arguments set.  An argument left at ``None`` keeps the
 preset's value (the presets' seed axis is ``(0,)``), so a wrapper called
 with no arguments runs exactly its preset.  The returned row/curve
 structures are those of the original hand-rolled loops (a golden-value test
-pins this), so the benchmark harness and EXPERIMENTS.md keep working as
-before.
+pins this), so the benchmark harness keeps working as before.
 
 Pass ``workers``/``cache_dir`` to any wrapper to parallelise or resume a
 sweep, or run a preset directly (e.g. ``python -m repro bench --spec

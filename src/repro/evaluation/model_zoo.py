@@ -77,9 +77,10 @@ def model_factories(
     )
     phased_common = dict(common, n_mixture_components=3, em_iterations=20)
     # Image data: DP-PCA gets a larger share of the budget at simulated dataset
-    # sizes (the projection is otherwise noise-dominated, see EXPERIMENTS.md),
-    # and the non-private VAE gets longer training since it is the cheap
-    # reference model.
+    # sizes (at a few thousand rows the Wishart noise of the paper's 0.1
+    # otherwise dominates the 784-pixel covariance, and the projection is
+    # noise), and the non-private VAE gets longer training since it is the
+    # cheap reference model.
     pca_budget = {}
     if is_image:
         pca_budget = {"epsilon_pca": 0.3}

@@ -59,7 +59,7 @@ def default_classifier_suite(random_state=0) -> dict:
     sklearn/xgboost models.
     """
     return {
-        "LogisticRegression": lambda: LogisticRegression(n_iter=200, random_state=random_state),
+        "LogisticRegression": lambda: LogisticRegression(n_iter=200),
         "AdaBoost": lambda: AdaBoostClassifier(n_estimators=15, random_state=random_state),
         "GBM": lambda: GradientBoostingClassifier(
             n_estimators=15,

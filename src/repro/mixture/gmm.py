@@ -60,7 +60,6 @@ class GaussianMixture:
         self.means_: Optional[np.ndarray] = None
         #: Per-component diagonal variances, shape ``(n_components, n_features)``.
         self.covariances_: Optional[np.ndarray] = None
-        self.log_likelihood_history_: list[float] = []
 
     # -- initialisation ------------------------------------------------------------
 
@@ -97,18 +96,6 @@ class GaussianMixture:
         """Mean log-likelihood of ``X``."""
         return float(np.mean(self.score_samples(X)))
 
-    def predict_proba(self, X) -> np.ndarray:
-        """Posterior responsibilities ``p(component | x)``; shape (n, K)."""
-        self._check_fitted()
-        X = check_array(X, "X")
-        weighted = self._component_log_density(X) + np.log(self.weights_)
-        weighted -= logsumexp(weighted, axis=1, keepdims=True)
-        return np.exp(weighted)
-
-    def predict(self, X) -> np.ndarray:
-        """Most likely component for each sample."""
-        return np.argmax(self.predict_proba(X), axis=1)
-
     # -- EM -------------------------------------------------------------------------------
 
     def fit(self, X) -> "GaussianMixture":
@@ -116,14 +103,13 @@ class GaussianMixture:
         if len(X) < self.n_components:
             raise ValueError("need at least n_components samples to fit the mixture")
         self._initialise(X)
-        self.log_likelihood_history_ = []
         for _ in range(self.n_iter):
             responsibilities = self._e_step(X)
             self._m_step(X, responsibilities)
-            self.log_likelihood_history_.append(self.score(X))
         return self
 
     def _e_step(self, X: np.ndarray) -> np.ndarray:
+        """Posterior responsibilities ``p(component | x)``; shape (n, K)."""
         weighted = self._component_log_density(X) + np.log(self.weights_)
         weighted -= logsumexp(weighted, axis=1, keepdims=True)
         return np.exp(weighted)

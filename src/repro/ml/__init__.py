@@ -14,7 +14,6 @@ from repro.ml.metrics import (
     average_precision_score,
     precision_recall_curve,
     roc_auc_score,
-    roc_curve,
 )
 from repro.ml.mlp import MLPClassifier
 from repro.ml.preprocessing import MinMaxScaler, train_test_split
@@ -32,7 +31,6 @@ __all__ = [
     "roc_auc_score",
     "average_precision_score",
     "precision_recall_curve",
-    "roc_curve",
     "MinMaxScaler",
     "train_test_split",
 ]

@@ -27,20 +27,15 @@ class LogisticRegression:
     Parameters
     ----------
     learning_rate, n_iter:
-        Gradient-descent schedule.
+        Gradient-descent schedule.  Full-batch descent from zero weights
+        draws no random numbers, so a fit is deterministic.
     """
 
-    def __init__(
-        self,
-        learning_rate: float = 0.1,
-        n_iter: int = 300,
-        random_state=None,
-    ):
+    def __init__(self, learning_rate: float = 0.1, n_iter: int = 300):
         check_positive(learning_rate, "learning_rate")
         check_positive(n_iter, "n_iter")
         self.learning_rate = learning_rate
         self.n_iter = n_iter
-        self.random_state = random_state
 
         self.classes_: Optional[np.ndarray] = None
         self.coef_: Optional[np.ndarray] = None

@@ -13,7 +13,6 @@ __all__ = [
     "roc_auc_score",
     "average_precision_score",
     "precision_recall_curve",
-    "roc_curve",
 ]
 
 
@@ -61,21 +60,6 @@ def roc_auc_score(y_true, y_score) -> float:
     rank_sum_positive = ranks[y_true == 1].sum()
     u_statistic = rank_sum_positive - n_pos * (n_pos + 1) / 2.0
     return float(u_statistic / (n_pos * n_neg))
-
-
-def roc_curve(y_true, y_score):
-    """Return ``(fpr, tpr, thresholds)`` sorted by decreasing threshold."""
-    y_true, y_score = _validate_binary(y_true, y_score)
-    order = np.argsort(-y_score, kind="mergesort")
-    y_true = y_true[order]
-    y_score = y_score[order]
-    distinct = np.where(np.diff(y_score))[0]
-    threshold_idx = np.r_[distinct, len(y_true) - 1]
-    tps = np.cumsum(y_true)[threshold_idx]
-    fps = 1 + threshold_idx - tps
-    tpr = tps / max(tps[-1], 1)
-    fpr = fps / max(fps[-1], 1)
-    return np.r_[0.0, fpr], np.r_[0.0, tpr], np.r_[np.inf, y_score[threshold_idx]]
 
 
 def precision_recall_curve(y_true, y_score):

@@ -3,7 +3,7 @@
 Stands in for the small CNN the paper trains on the image datasets (Table VII,
 Figure 5, Figure 7c).  The evaluation compares generative models against each
 other with a *fixed* downstream classifier, so an MLP on flattened pixels
-preserves the comparison; this substitution is recorded in DESIGN.md.
+preserves the comparison.
 """
 
 from __future__ import annotations

@@ -113,11 +113,6 @@ class GenerativeModel:
         """Return the ``(epsilon, delta)`` guarantee of the trained model."""
         return (float("inf"), 0.0)
 
-    @property
-    def is_private(self) -> bool:
-        eps, _ = self.privacy_spent()
-        return np.isfinite(eps)
-
     # -- persistence protocol -----------------------------------------------------
 
     def get_config(self) -> dict:

@@ -12,9 +12,8 @@ dimensionality).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-__all__ = ["Capability", "CAPABILITY_MATRIX", "capability_for", "capability_table"]
+__all__ = ["Capability", "CAPABILITY_MATRIX", "capability_table"]
 
 
 @dataclass(frozen=True)
@@ -33,20 +32,6 @@ CAPABILITY_MATRIX: tuple = (
     Capability("DP-GM", differentially_private=True, diverse_samples=False, high_dimensional=True),
     Capability("P3GM", differentially_private=True, diverse_samples=True, high_dimensional=True),
 )
-
-
-def capability_for(model_name: str) -> Optional[Capability]:
-    """Look up a Table-I row by model name (case-insensitive).
-
-    Returns ``None`` for models the paper's Table I does not cover (e.g. the
-    non-private VAE/PGM reference models); the serving registry
-    (:mod:`repro.serving.registry`) uses this to attach the paper's claims to
-    each released synthesizer.
-    """
-    for row in CAPABILITY_MATRIX:
-        if row.model.lower() == model_name.lower():
-            return row
-    return None
 
 
 def capability_table() -> str:

@@ -11,11 +11,10 @@ The paper's criticism — that DP-GM's samples concentrate near the cluster
 centroids and lose diversity — emerges from this structure: each per-cluster
 generator sees few, homogeneous records and learns a narrow distribution.
 
-Simplifications relative to Acs et al. (documented in DESIGN.md): the
-per-cluster generators are small VAEs trained with DP-SGD (the original work
-uses variational autoencoders or RBMs interchangeably), and clusters that end
-up with fewer records than ``min_cluster_size`` fall back to a Gaussian
-around the noisy centroid.
+Simplifications relative to Acs et al.: the per-cluster generators are small
+VAEs trained with DP-SGD (the original work uses variational autoencoders or
+RBMs interchangeably), and clusters that end up with fewer records than
+``min_cluster_size`` fall back to a Gaussian around the noisy centroid.
 """
 
 from __future__ import annotations

@@ -175,16 +175,6 @@ class P3GM(DPSGDMixin, PGM):
         )
 
     # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-
-    def privacy_spent_baseline(self) -> float:
-        """Epsilon under the looser zCDP+MA baseline composition (Figure 6)."""
-        if self.accountant_ is None:
-            return 0.0
-        return self.accountant_.epsilon_baseline(self.delta)
-
-    # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
 

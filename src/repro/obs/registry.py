@@ -105,11 +105,6 @@ class Counter(_Instrument):
         with self._lock:
             return self._samples.get(key, 0)
 
-    def total(self) -> float:
-        """Sum over every label combination."""
-        with self._lock:
-            return sum(self._samples.values())
-
 
 class Gauge(_Instrument):
     """A value that goes up and down (in-flight requests, epsilon spent)."""
@@ -125,9 +120,6 @@ class Gauge(_Instrument):
         key = self._label_values(labels)
         with self._lock:
             self._samples[key] = self._samples.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1, **labels) -> None:
-        self.inc(-amount, **labels)
 
     def value(self, default: float = 0.0, **labels) -> float:
         key = self._label_values(labels)
@@ -219,9 +211,6 @@ class _NullInstrument:
     def inc(self, amount: float = 1, **labels) -> None:
         pass
 
-    def dec(self, amount: float = 1, **labels) -> None:
-        pass
-
     def set(self, value: float, **labels) -> None:
         pass
 
@@ -230,9 +219,6 @@ class _NullInstrument:
 
     def value(self, default: float = 0.0, **labels) -> float:
         return default if self.kind == "gauge" else 0
-
-    def total(self) -> float:
-        return 0
 
     def samples(self) -> dict:
         return {}
@@ -311,11 +297,6 @@ class MetricsRegistry:
         with self._lock:
             return sorted(self._families.values(), key=lambda family: family.name)
 
-    def reset(self) -> None:
-        """Drop every family (tests)."""
-        with self._lock:
-            self._families.clear()
-
     # -- exposition ------------------------------------------------------------------
 
     def snapshot(self) -> dict:
@@ -343,10 +324,6 @@ class MetricsRegistry:
                 ]
                 out[family.name] = {"type": family.kind, "series": series}
         return out
-
-    def render_prometheus(self) -> str:
-        """The Prometheus text exposition format (version 0.0.4)."""
-        return render_prometheus_snapshot(self.snapshot(), self)
 
 
 def merge_snapshots(snapshots: Sequence[dict]) -> dict:
@@ -416,8 +393,8 @@ def render_prometheus_snapshot(snapshot: dict, registry: Optional["MetricsRegist
     """Prometheus text exposition rendered from a snapshot dict.
 
     Every Prometheus text in the package comes from here: the snapshot is a
-    registry's own (:meth:`MetricsRegistry.render_prometheus`) or one merged
-    across processes (the server's ``/metrics``).  ``registry`` — typically
+    registry's own (``render_prometheus_snapshot(registry.snapshot(),
+    registry)``) or one merged across processes (the server's ``/metrics``).  ``registry`` — typically
     the scraping process's own — supplies ``# HELP`` text for families it
     also has locally; snapshots themselves carry no help strings.
     """

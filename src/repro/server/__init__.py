@@ -3,7 +3,10 @@
 Puts :class:`repro.serving.SynthesisService` on the network: a stdlib-only
 threaded HTTP server (:mod:`repro.server.app`) with a typed wire protocol
 (:mod:`repro.server.protocol`) and a matching stdlib client
-(:mod:`repro.server.client`).  Launch it with ``python -m repro serve``.
+(:mod:`repro.server.client`).  Every release request opens its stream through
+:meth:`~repro.serving.SynthesisService.open_release`: one counted lookup of
+the service's cache, which holds one entry (model and transformer) per
+artifact.  Launch it with ``python -m repro serve``.
 For multi-core boxes, :mod:`repro.server.pool` pre-forks N such servers
 onto one shared listening socket (``serve --processes N``); peers exchange
 their ``/metrics`` entries over a unix-socket control channel

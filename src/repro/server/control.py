@@ -20,7 +20,6 @@ Everything here is stdlib-only and Unix-only, like the pool itself.
 from __future__ import annotations
 
 import json
-import os
 import socket
 import threading
 from pathlib import Path
@@ -101,10 +100,9 @@ class ControlServer:
 class PoolPeers:
     """Collect peer workers' metrics payloads from the control directory."""
 
-    def __init__(self, control_dir, exclude=None, timeout: float = PEER_TIMEOUT):
+    def __init__(self, control_dir, exclude=None):
         self.control_dir = Path(control_dir)
         self.exclude = None if exclude is None else Path(exclude)
-        self.timeout = float(timeout)
 
     def collect(self) -> List[dict]:
         """One payload per reachable peer; dead peers are silently skipped."""
@@ -124,7 +122,7 @@ class PoolPeers:
     def _fetch(self, path: Path) -> Optional[dict]:
         try:
             with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as connection:
-                connection.settimeout(self.timeout)
+                connection.settimeout(PEER_TIMEOUT)
                 connection.connect(str(path))
                 pieces = []
                 while True:
@@ -138,12 +136,3 @@ class PoolPeers:
             # write, or an unparseable body: partial aggregation wins over a
             # failed scrape.
             return None
-
-
-def remove_stale_sockets(control_dir) -> None:
-    """Drop leftover socket files (a recycled control dir after a crash)."""
-    for path in Path(control_dir).glob(f"*{CONTROL_SOCKET_SUFFIX}"):
-        try:
-            os.unlink(path)
-        except OSError:
-            pass

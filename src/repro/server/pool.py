@@ -21,7 +21,7 @@ that ceiling the classic Unix way:
   merges its own one entry (:func:`repro.obs.merge_snapshots`);
 - **SIGTERM drains gracefully**: the supervisor forwards it, each worker
   stops accepting, finishes its in-flight streams (bounded by
-  ``drain_timeout``), and only then exits.  SIGKILLing a worker mid-stream
+  :data:`DRAIN_TIMEOUT`), and only then exits.  SIGKILLing a worker mid-stream
   surfaces to that client as a truncated response — never a hung connection
   — and costs the pool nothing beyond the respawn.
 
@@ -43,10 +43,18 @@ from pathlib import Path
 from typing import Callable, Dict, Optional
 
 from repro.server.app import SynthesisHTTPServer
-from repro.server.control import ControlServer, PoolPeers, remove_stale_sockets
+from repro.server.control import ControlServer, PoolPeers
 from repro.utils.logging import StructuredLogger
 
 __all__ = ["WorkerPool", "default_processes"]
+
+#: Seconds a SIGTERM'd worker waits for its in-flight requests before exiting
+#: anyway.
+DRAIN_TIMEOUT = 30.0
+
+#: Pause before respawning a dead worker: keeps a crash-looping artifact from
+#: turning the supervisor into a fork bomb.
+RESPAWN_DELAY = 0.05
 
 
 def default_processes() -> int:
@@ -77,16 +85,11 @@ class WorkerPool:
         Extra keyword arguments for each worker's
         :class:`SynthesisHTTPServer` (``workers``, ``max_rows``,
         ``access_log``, ...).
-    drain_timeout:
-        How long a SIGTERM'd worker waits for in-flight requests before
-        exiting anyway.
-    respawn_delay:
-        Pause before respawning a dead worker — keeps a crash-looping
-        artifact from turning the supervisor into a fork bomb.
 
     The supervisor itself serves nothing: after :meth:`start` it only reaps
-    and respawns.  Use :meth:`wait` to block until :meth:`stop` (or a signal
-    handler calling it) shuts the pool down.
+    and respawns (logging each death as JSON on stderr).  Use :meth:`wait` to
+    block until :meth:`stop` (or a signal handler calling it) shuts the pool
+    down.
     """
 
     def __init__(
@@ -96,10 +99,6 @@ class WorkerPool:
         processes: Optional[int] = None,
         *,
         server_kwargs: Optional[dict] = None,
-        control_dir=None,
-        drain_timeout: float = 30.0,
-        respawn_delay: float = 0.05,
-        log: Optional[StructuredLogger] = None,
     ):
         if not fork_available():
             raise RuntimeError(
@@ -112,10 +111,7 @@ class WorkerPool:
         if self.processes < 1:
             raise ValueError(f"processes must be >= 1; got {processes!r}")
         self.server_kwargs = dict(server_kwargs or {})
-        self.drain_timeout = float(drain_timeout)
-        self.respawn_delay = float(respawn_delay)
-        self.log = log if log is not None else StructuredLogger()
-        self._explicit_control_dir = control_dir
+        self.log = StructuredLogger()
         self._control_dir: Optional[Path] = None
         self._socket: Optional[socket.socket] = None
         self._children: Dict[int, int] = {}  # pid -> worker index
@@ -146,14 +142,9 @@ class WorkerPool:
             listener.close()
             raise
         self._socket = listener
-        if self._explicit_control_dir is not None:
-            self._control_dir = Path(self._explicit_control_dir)
-            self._control_dir.mkdir(parents=True, exist_ok=True)
-            remove_stale_sockets(self._control_dir)
-        else:
-            # mkdtemp (not tmp_path-style dirs): unix socket paths have a
-            # ~107-byte limit, so stay under the system tmp root.
-            self._control_dir = Path(tempfile.mkdtemp(prefix="repro-pool-"))
+        # mkdtemp (not tmp_path-style dirs): unix socket paths have a
+        # ~107-byte limit, so stay under the system tmp root.
+        self._control_dir = Path(tempfile.mkdtemp(prefix="repro-pool-"))
         for index in range(self.processes):
             self._fork_worker(index)
         self._monitor = threading.Thread(
@@ -177,7 +168,6 @@ class WorkerPool:
                     server_kwargs=self.server_kwargs,
                     control_path=self._control_path(index),
                     control_dir=self._control_dir,
-                    drain_timeout=self.drain_timeout,
                 )
             except BaseException:
                 traceback.print_exc(file=sys.stderr)
@@ -214,7 +204,7 @@ class WorkerPool:
                 exit_status=int(status), respawning=True,
             )
             self.respawned += 1
-            time.sleep(self.respawn_delay)
+            time.sleep(RESPAWN_DELAY)
             if not self._stopping.is_set():
                 self._fork_worker(index)
 
@@ -228,7 +218,7 @@ class WorkerPool:
         ``graceful=True`` sends SIGTERM and lets every worker finish its
         in-flight streams (bounded by the drain timeout); ``graceful=False``
         SIGKILLs.  Always reaps, closes the shared socket, and removes the
-        control directory (when the pool created it).
+        control directory.
         """
         if self._stopping.is_set():
             self._stopped.wait()
@@ -245,7 +235,7 @@ class WorkerPool:
             except ProcessLookupError:
                 pass
         deadline = time.monotonic() + (
-            (self.drain_timeout + 5.0) if timeout is None else timeout
+            (DRAIN_TIMEOUT + 5.0) if timeout is None else timeout
         )
         remaining = set(children)
         while remaining and time.monotonic() < deadline:
@@ -272,7 +262,7 @@ class WorkerPool:
                 self._socket.close()
             except OSError:
                 pass
-        if self._control_dir is not None and self._explicit_control_dir is None:
+        if self._control_dir is not None:
             shutil.rmtree(self._control_dir, ignore_errors=True)
         self._stopped.set()
 
@@ -294,7 +284,6 @@ def _worker_main(
     server_kwargs: dict,
     control_path: Path,
     control_dir: Path,
-    drain_timeout: float,
 ) -> None:
     """One worker: private service + registry, shared accept, graceful drain.
 
@@ -326,7 +315,7 @@ def _worker_main(
     def _drain() -> None:
         serving.wait(5.0)
         server.shutdown()  # stop accepting; handler threads keep running
-        deadline = time.monotonic() + drain_timeout
+        deadline = time.monotonic() + DRAIN_TIMEOUT
         while time.monotonic() < deadline:
             if server.in_flight <= 0 and server.slots_in_use <= 0:
                 break
@@ -355,5 +344,5 @@ def _worker_main(
     # serve_forever only exits once a drain is in progress; the drain thread
     # owns the exit (after the in-flight streams finish), so park on an event
     # nobody sets.  The timeout is a dead-man switch for a wedged drain.
-    threading.Event().wait(drain_timeout + 15.0)
+    threading.Event().wait(DRAIN_TIMEOUT + 15.0)
     os._exit(0)

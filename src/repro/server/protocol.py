@@ -127,15 +127,13 @@ def _require_bool(value, field: str) -> bool:
 MAX_CHUNK_ROWS = 65_536
 
 
-def parse_sample_request(
-    body: bytes, max_rows: int, max_chunk_rows: int = MAX_CHUNK_ROWS
-) -> SampleRequest:
+def parse_sample_request(body: bytes, max_rows: int) -> SampleRequest:
     """Parse and validate a POST body, or raise :class:`ProtocolError`.
 
     ``max_rows`` is the server's per-request row budget; exceeding it is a
     413 ``too_many_rows``, distinct from plain validation failures, so load
     balancers and clients can tell "ask for less" from "fix the request".
-    ``max_chunk_rows`` caps the per-chunk memory bound a client may request.
+    A requested ``chunk_size`` is capped at :data:`MAX_CHUNK_ROWS`.
     """
     if not body:
         raise ProtocolError("invalid_json", "request body is empty; expected a JSON object")
@@ -172,11 +170,11 @@ def parse_sample_request(
     chunk_size = payload.get("chunk_size")
     if chunk_size is not None:
         chunk_size = _require_int(chunk_size, "chunk_size")
-        if chunk_size > max_chunk_rows:
+        if chunk_size > MAX_CHUNK_ROWS:
             raise ProtocolError(
                 "invalid_request",
                 f"chunk_size={chunk_size} exceeds this server's per-chunk limit "
-                f"of {max_chunk_rows} rows (the streaming memory bound)",
+                f"of {MAX_CHUNK_ROWS} rows (the streaming memory bound)",
             )
     fmt = payload.get("format", "ndjson")
     if fmt not in FORMATS:

@@ -6,7 +6,8 @@ not the data — is what leaves the building.  This package provides
 - a versioned on-disk artifact format (:mod:`repro.serving.artifacts`),
 - a name-keyed registry of releasable synthesizers
   (:mod:`repro.serving.registry`),
-- a batched/streaming :class:`SynthesisService` with an LRU model cache
+- a batched/streaming :class:`SynthesisService` whose LRU cache holds one
+  entry per artifact, its model and its transformer loaded together
   (:mod:`repro.serving.service`), and
 - the ``python -m repro`` command line (:mod:`repro.serving.cli`).
 """

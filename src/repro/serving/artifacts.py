@@ -19,12 +19,17 @@ An artifact is a directory holding two or three files:
 
 Format version 1 artifacts (no transformer) keep loading unchanged.
 Loading refuses unknown format versions and model-class mismatches with
-explicit errors rather than producing a silently wrong synthesizer.
+explicit errors rather than producing a silently wrong synthesizer.  Every
+file — weights, transformer, and the training checkpoints' state — is read
+through one ``manifest.json`` parser and one ``.npz`` reader, so an empty,
+truncated or bit-flipped archive raises :class:`ArtifactError`, never a zip
+or end-of-file error.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -57,6 +62,13 @@ class ArtifactError(RuntimeError):
     """A model artifact is missing, malformed, or incompatible."""
 
 
+#: What a damaged ``.npz`` raises while it is opened and read: ``OSError`` for
+#: an unreadable file, ``EOFError`` for an empty one, ``BadZipFile`` for a cut
+#: or bit-flipped one (a bad CRC-32 included) and ``ValueError`` for a
+#: malformed array header.
+_ARCHIVE_ERRORS = (OSError, EOFError, ValueError, zipfile.BadZipFile)
+
+
 def write_state_archive(path, manifest: dict, state: dict, npz_name: str = WEIGHTS_FILENAME) -> Path:
     """Write the shared on-disk layout: ``manifest.json`` + one state ``.npz``.
 
@@ -72,6 +84,40 @@ def write_state_archive(path, manifest: dict, state: dict, npz_name: str = WEIGH
     return path
 
 
+def _parse_manifest(path: Path) -> dict:
+    """The one ``manifest.json`` parser of artifacts and checkpoints alike.
+
+    Structural only (the file exists and is JSON); each caller checks the
+    keys its own format requires.
+    """
+    manifest_path = path / MANIFEST_FILENAME
+    if not manifest_path.is_file():
+        raise ArtifactError(f"{path} is not an artifact or checkpoint: missing {MANIFEST_FILENAME}")
+    try:
+        return json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as error:
+        raise ArtifactError(f"{manifest_path} is not valid JSON: {error}") from error
+
+
+def _read_arrays(npz_path: Path) -> dict:
+    """The arrays of one ``.npz`` (weights, transformer or checkpoint state).
+
+    Loaded with ``allow_pickle=False``; every way a damaged file fails is
+    raised as :class:`ArtifactError`.  The file is opened here, not by
+    ``np.load``, which leaves its own handle open when a truncated archive
+    fails in ``zipfile``.
+    """
+    if not npz_path.is_file():
+        raise ArtifactError(f"{npz_path.parent}: {npz_path.name} is missing")
+    try:
+        with open(npz_path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
+            return {key: archive[key] for key in archive.files}
+    except _ARCHIVE_ERRORS as error:
+        raise ArtifactError(
+            f"{npz_path} is corrupt or unreadable ({type(error).__name__}: {error})"
+        ) from error
+
+
 def read_state_archive(path, npz_name: str = WEIGHTS_FILENAME) -> tuple:
     """Read a ``(manifest, state)`` pair written by :func:`write_state_archive`.
 
@@ -79,22 +125,7 @@ def read_state_archive(path, npz_name: str = WEIGHTS_FILENAME) -> tuple:
     arrays load without pickling); semantic checks belong to the caller.
     """
     path = Path(path)
-    manifest_path = path / MANIFEST_FILENAME
-    if not manifest_path.is_file():
-        raise ArtifactError(f"{path} is not a state archive: missing {MANIFEST_FILENAME}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as error:
-        raise ArtifactError(f"{manifest_path} is not valid JSON: {error}") from error
-    npz_path = path / npz_name
-    if not npz_path.is_file():
-        raise ArtifactError(f"{path} is not a state archive: missing {npz_name}")
-    try:
-        with np.load(npz_path, allow_pickle=False) as archive:
-            state = {key: archive[key] for key in archive.files}
-    except (OSError, ValueError) as error:
-        raise ArtifactError(f"{npz_path} is corrupt or unreadable: {error}") from error
-    return manifest, state
+    return _parse_manifest(path), _read_arrays(path / npz_name)
 
 
 def _encode_float(value: float):
@@ -172,16 +203,10 @@ def save_artifact(
 def read_manifest(path) -> dict:
     """Read and structurally validate an artifact's manifest."""
     path = Path(path)
-    manifest_path = path / MANIFEST_FILENAME
-    if not manifest_path.is_file():
-        raise ArtifactError(f"{path} is not a model artifact: missing {MANIFEST_FILENAME}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as error:
-        raise ArtifactError(f"{manifest_path} is not valid JSON: {error}") from error
+    manifest = _parse_manifest(path)
     for key in ("format_version", "model_class", "hyperparameters", "privacy"):
         if key not in manifest:
-            raise ArtifactError(f"{manifest_path} is missing required key {key!r}")
+            raise ArtifactError(f"{path / MANIFEST_FILENAME} is missing required key {key!r}")
     version = manifest["format_version"]
     if version not in SUPPORTED_FORMAT_VERSIONS:
         raise ArtifactError(
@@ -232,7 +257,7 @@ def load_artifact(path, expected_class=None):
             f"artifact {path} carries hyperparameters {class_name} does not accept "
             f"(manifest written by a different build?): {error}"
         ) from error
-    _, state = read_state_archive(path)
+    state = _read_arrays(path / WEIGHTS_FILENAME)
     try:
         model.load_state_dict(state)
     except (KeyError, ValueError) as error:
@@ -254,19 +279,13 @@ def load_transformer(path):
     config = manifest.get("transformer")
     if config is None:
         return None
-    transformer_path = path / TRANSFORMER_FILENAME
-    if not transformer_path.is_file():
-        raise ArtifactError(
-            f"artifact {path} declares a transformer but {TRANSFORMER_FILENAME} is missing"
-        )
     try:
         transformer = TableTransformer.from_config(config)
     except (KeyError, ValueError) as error:
         raise ArtifactError(
             f"artifact {path} has an invalid transformer config: {error}"
         ) from error
-    with np.load(transformer_path, allow_pickle=False) as archive:
-        state = {key: archive[key] for key in archive.files}
+    state = _read_arrays(path / TRANSFORMER_FILENAME)
     try:
         transformer.load_state_dict(state)
     except (KeyError, ValueError) as error:

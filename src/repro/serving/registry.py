@@ -2,9 +2,7 @@
 
 The serving layer (artifacts, service, CLI) refers to models by short
 registry names rather than python classes, so a manifest written by one
-process can be resolved by another.  Each entry ties the implementation class
-to the paper's capability matrix (Table I) via
-:func:`repro.models.capabilities.capability_for`.  :func:`model_from_config`
+process can be resolved by another.  :func:`model_from_config`
 turns a recorded ``get_config()`` back into an unfitted model, including one
 an earlier build recorded with parameters this build has retired.
 """
@@ -12,11 +10,9 @@ an earlier build recorded with parameters this build has retired.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.models import DPGM, DPVAE, P3GM, PGM, PrivBayes, VAE
 from repro.models.base import LABEL_COPIES
-from repro.models.capabilities import Capability, capability_for
 from repro.models.dp_gm import KMEANS_BUDGET_FRACTION, KMEANS_ITERATIONS
 from repro.models.privbayes import MAX_PARENT_CANDIDATES
 
@@ -32,30 +28,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One releasable synthesizer: registry name, class, and Table-I tie-in."""
+    """One releasable synthesizer: registry name, class, and description."""
 
     name: str
     cls: type
-    table1_name: Optional[str]
     description: str
-
-    @property
-    def capability(self) -> Optional[Capability]:
-        """The paper's Table-I claims for this model (None if not listed)."""
-        if self.table1_name is None:
-            return None
-        return capability_for(self.table1_name)
 
 
 MODEL_REGISTRY: dict = {
     spec.name: spec
     for spec in (
-        ModelSpec("vae", VAE, None, "non-private VAE reference model"),
-        ModelSpec("dp-vae", DPVAE, "DP-VAE", "VAE trained end to end with DP-SGD"),
-        ModelSpec("pgm", PGM, None, "non-private phased generative model"),
-        ModelSpec("p3gm", P3GM, "P3GM", "privacy-preserving phased generative model"),
-        ModelSpec("dp-gm", DPGM, "DP-GM", "DP mixture of generative networks"),
-        ModelSpec("privbayes", PrivBayes, "PrivBayes", "Bayesian-network synthesizer"),
+        ModelSpec("vae", VAE, "non-private VAE reference model"),
+        ModelSpec("dp-vae", DPVAE, "VAE trained end to end with DP-SGD"),
+        ModelSpec("pgm", PGM, "non-private phased generative model"),
+        ModelSpec("p3gm", P3GM, "privacy-preserving phased generative model"),
+        ModelSpec("dp-gm", DPGM, "DP mixture of generative networks"),
+        ModelSpec("privbayes", PrivBayes, "Bayesian-network synthesizer"),
     )
 }
 

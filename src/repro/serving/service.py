@@ -2,9 +2,11 @@
 
 :class:`SynthesisService` is the query side of the release story: artifacts
 written by :func:`repro.serving.save_artifact` are loaded through a bounded
-LRU cache and queried for synthetic rows.  Large requests are served as a
-stream of bounded-size chunks, so ``n = 10_000_000`` never materialises one
-dense array — peak memory is governed by ``chunk_size``, not ``n``.
+LRU cache — one entry per artifact, holding its model and its fitted
+transformer, loaded together — and queried for synthetic rows.  Large
+requests are served as a stream of bounded-size chunks, so
+``n = 10_000_000`` never materialises one dense array — peak memory is
+governed by ``chunk_size``, not ``n``.
 
 Per-request seeds make draws reproducible: the same artifact, seed, and chunk
 size always produce the same rows, independent of what other requests the
@@ -24,13 +26,14 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from repro.models.base import label_quotas
 from repro.obs import get_registry
 from repro.serving.artifacts import (
+    MANIFEST_FILENAME,
     ArtifactError,
     load_artifact,
     load_transformer,
@@ -45,28 +48,36 @@ __all__ = ["SynthesisService", "DEFAULT_CHUNK_SIZE"]
 DEFAULT_CHUNK_SIZE = 8192
 
 
+class _Entry(NamedTuple):
+    """One cached artifact: its model and its transformer (``None`` if absent)."""
+
+    model: object
+    transformer: object
+
+
 class SynthesisService:
     """Serve ``sample`` / ``sample_labeled`` requests from saved artifacts.
 
     Parameters
     ----------
     artifact_root:
-        Optional base directory; references that are not absolute paths or
-        registered names are resolved relative to it.
+        Optional base directory; references that are not absolute paths are
+        resolved relative to it.
     cache_size:
-        Maximum number of models held in memory at once (least recently used
-        models are evicted first).
+        Maximum number of artifacts held in memory at once (least recently
+        used artifacts are evicted first).
     chunk_size:
         Default number of rows per streamed chunk (the memory bound).
 
     **Concurrency contract.**  One service instance may be shared across
-    threads (the HTTP tier in :mod:`repro.server` does exactly that): the
-    registry, the LRU model cache, the transformer cache, and the hit/miss
-    counters are guarded by a single reentrant lock, and cold loads run
-    through **per-key load futures** — the lock is only ever held for map
-    mutation, never through ``load_artifact``.  N threads racing on one cold
-    key perform exactly one load (the losers wait on the winner's future and
-    share its model or its error); cold loads for *distinct* keys proceed
+    threads (the HTTP tier in :mod:`repro.server` does exactly that).  The
+    LRU cache holds one entry per artifact — its model and its transformer —
+    and it and the hit/miss counters are guarded by a single lock, held only
+    for map mutation: nothing is read from disk under it.  Cold loads run
+    through **per-key load futures**, one per artifact, which read the model
+    and the transformer together.  N threads racing on one cold key perform
+    exactly one load (the losers wait on the winner's future and share its
+    entry or its error); cold loads for *distinct* keys proceed
     concurrently; and a cache hit never waits behind any cold load.
     *Seeded* streams are then safe to draw concurrently —
     each request owns its own :class:`numpy.random.Generator` and the models'
@@ -75,6 +86,15 @@ class SynthesisService:
     shared mutable state: callers that need concurrency without seeds must
     supply distinct seeds themselves (the HTTP tier draws a server-side seed
     per request for this reason).
+
+    **Cache statistics** count lookups: every :meth:`get` is one (a hit when
+    the artifact is resident or already loading, a miss when it starts the
+    load), and every load is counted as a miss.  :meth:`open_release` —
+    every CLI and HTTP release — makes one lookup, through :meth:`get`; the
+    reads its stream is built from find the entry resident and count
+    nothing more, unless another request evicted it in between.
+    :meth:`stream`, :meth:`stream_labeled` and :meth:`transformer` called on
+    their own count only when the artifact is not resident.
     """
 
     def __init__(self, artifact_root=None, cache_size: int = 4, chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -84,11 +104,9 @@ class SynthesisService:
         self.artifact_root = None if artifact_root is None else Path(artifact_root)
         self.cache_size = int(cache_size)
         self.chunk_size = int(chunk_size)
-        self._lock = threading.RLock()
-        self._registry: dict = {}
-        self._cache: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+        self._cache: OrderedDict = OrderedDict()  # key -> _Entry
         self._loads: dict = {}  # key -> Future of an in-flight cold load
-        self._transformers: dict = {}
         self._hits = 0
         self._misses = 0
         # Observability: per-instance hit/miss stats above feed cache_stats
@@ -115,24 +133,15 @@ class SynthesisService:
 
     # -- model resolution and caching ----------------------------------------------
 
-    def register(self, name: str, path) -> None:
-        """Register a short name for an artifact path."""
-        with self._lock:
-            self._registry[name] = Path(path)
-
     def resolve(self, ref) -> Path:
-        """Resolve a registered name or path to an artifact directory.
+        """Resolve a ref (a path) to an artifact directory.
 
         With an ``artifact_root`` configured, relative refs resolve strictly
         under it — never against the process's working directory, which
         would let a network-originated ref reach (or probe for) directories
-        outside the root.  Absolute paths and registered names are the
-        caller's explicit choice and resolve as given.
+        outside the root.  Absolute paths are the caller's explicit choice
+        and resolve as given.
         """
-        with self._lock:
-            registered = self._registry.get(ref) if isinstance(ref, str) else None
-        if registered is not None:
-            return registered
         path = Path(ref)
         if not path.is_absolute() and self.artifact_root is not None:
             path = self.artifact_root / path
@@ -141,39 +150,37 @@ class SynthesisService:
         return path
 
     def get(self, ref):
-        """Return the loaded model for ``ref``, loading through the LRU cache.
+        """Return the loaded model for ``ref``: one counted cache lookup.
 
         Cold loads run under a **per-key future**, not the service lock: the
-        first thread to miss becomes the loader, concurrent threads on the
-        same key wait on its future (one load, shared result *and* shared
-        failure), and threads on other keys — hits and distinct cold loads
-        alike — are never blocked by it.
+        first thread to miss becomes the loader and reads the model and its
+        transformer together, concurrent threads on the same key wait on its
+        future (one load, shared result *and* shared failure), and threads
+        on other keys — hits and distinct cold loads alike — are never
+        blocked by it.
         """
-        key = str(self.resolve(ref))
+        return self._lookup(str(self.resolve(ref))).model
+
+    def _lookup(self, key: str) -> _Entry:
         with self._lock:
-            if key in self._cache:
-                self._hits += 1
-                self._cache_events.inc(event="hit")
+            entry = self._cache.get(key)
+            if entry is not None:
+                self._count("hit")
                 self._cache.move_to_end(key)
-                return self._cache[key]
+                return entry
             future = self._loads.get(key)
-            if future is None:
+            loader = future is None
+            if loader:
                 future = self._loads[key] = Future()
-                loader = True
-                self._misses += 1
-                self._cache_events.inc(event="miss")
-            else:
-                # Joining an in-flight load: the model is already on its way
-                # into memory, so this counts as a hit — and crucially the
-                # wait below happens *outside* the lock.
-                loader = False
-                self._hits += 1
-                self._cache_events.inc(event="hit")
+            # Joining an in-flight load counts as a hit: the artifact is
+            # already on its way into memory (and the wait below happens
+            # outside the lock).
+            self._count("miss" if loader else "hit")
         if not loader:
             return future.result()
         try:
             load_started = time.perf_counter()
-            model = load_artifact(key)
+            entry = _Entry(load_artifact(key), load_transformer(key))
             self._load_seconds.observe(time.perf_counter() - load_started)
         except BaseException as error:
             with self._lock:
@@ -182,43 +189,46 @@ class SynthesisService:
             raise
         with self._lock:
             self._loads.pop(key, None)
-            self._cache[key] = model
+            self._cache[key] = entry
             self._cache.move_to_end(key)
             while len(self._cache) > self.cache_size:
-                evicted, _ = self._cache.popitem(last=False)
-                self._transformers.pop(evicted, None)
+                self._cache.popitem(last=False)
                 self._cache_events.inc(event="eviction")
-        future.set_result(model)
-        return model
+        future.set_result(entry)
+        return entry
 
-    def transformer(self, ref):
-        """The artifact's fitted preprocessing pipeline (``None`` if absent).
+    def _count(self, event: str) -> None:
+        """Record one lookup (``hit`` or ``miss``); called under the lock."""
+        if event == "hit":
+            self._hits += 1
+        else:
+            self._misses += 1
+        self._cache_events.inc(event=event)
 
-        Cached alongside the model so repeated original-space requests do not
-        re-read ``transformer.npz``.
-        """
+    def _entry(self, ref) -> _Entry:
+        """The cache entry of ``ref``: read uncounted when resident, else looked up."""
         key = str(self.resolve(ref))
         with self._lock:
-            if key not in self._transformers:
-                self._transformers[key] = load_transformer(key)
-            return self._transformers[key]
+            entry = self._cache.get(key)
+            if entry is not None:
+                self._cache.move_to_end(key)
+                return entry
+        return self._lookup(key)
 
-    def manifest(self, ref) -> dict:
-        """The artifact's manifest (no weights are loaded)."""
-        return read_manifest(self.resolve(ref))
+    def transformer(self, ref):
+        """The artifact's fitted preprocessing pipeline (``None`` if absent),
+        read off its cache entry."""
+        return self._entry(ref).transformer
 
     def evict(self, ref=None) -> None:
-        """Drop one model (or all of them) from the cache."""
+        """Drop one artifact (or all of them) from the cache."""
+        key = None if ref is None else str(self.resolve(ref))
         with self._lock:
-            if ref is None:
+            if key is None:
                 self._cache_events.inc(len(self._cache), event="eviction")
                 self._cache.clear()
-                self._transformers.clear()
-                return
-            key = str(self.resolve(ref))
-            if self._cache.pop(key, None) is not None:
+            elif self._cache.pop(key, None) is not None:
                 self._cache_events.inc(event="eviction")
-            self._transformers.pop(key, None)
 
     @property
     def cache_stats(self) -> dict:
@@ -238,7 +248,7 @@ class SynthesisService:
 
         No weights are loaded.  The ``privacy`` entry is kept in the
         manifest's JSON-safe encoding (non-finite epsilon as a string), and
-        ``cached`` reports whether the model currently sits in the LRU cache.
+        ``cached`` reports whether the artifact currently sits in the LRU cache.
         """
         path = self.resolve(ref)
         manifest = read_manifest(path)
@@ -262,35 +272,28 @@ class SynthesisService:
         }
 
     def available(self) -> list:
-        """Sorted refs this service can serve: registered names plus every
-        artifact directory (one containing ``manifest.json``) directly under
-        ``artifact_root``."""
-        with self._lock:
-            refs = set(self._registry)
-        if self.artifact_root is not None and self.artifact_root.is_dir():
-            for child in self.artifact_root.iterdir():
-                if (child / "manifest.json").is_file():
-                    refs.add(child.name)
-        return sorted(refs)
+        """Sorted refs this service can serve: every artifact directory (one
+        containing ``manifest.json``) directly under ``artifact_root``."""
+        if self.artifact_root is None or not self.artifact_root.is_dir():
+            return []
+        return sorted(
+            child.name
+            for child in self.artifact_root.iterdir()
+            if (child / MANIFEST_FILENAME).is_file()
+        )
 
     # -- synthesis ------------------------------------------------------------------
 
-    def _open_request(self, ref, n_samples, chunk_size):
-        """Shared stream prologue: validate, resolve the model, build the rng."""
+    def _open_request(self, ref, n_samples, chunk_size, original_space: bool):
+        """Shared stream prologue: validate, read the artifact's entry, and
+        build the per-chunk decoder of an original-space request (or ``None``)."""
         n_samples = check_n_samples(n_samples)
         chunk_size = self.chunk_size if chunk_size is None else int(
             check_positive(chunk_size, "chunk_size")
         )
-        return n_samples, chunk_size, self.get(ref)
-
-    def _request_rng(self, seed) -> Optional[np.random.Generator]:
-        return None if seed is None else as_generator(seed)
-
-    def _inverse(self, ref, original_space: bool, model):
-        """The per-chunk decoder for original-space requests (or ``None``)."""
+        model, transformer = self._entry(ref)
         if not original_space:
-            return None
-        transformer = self.transformer(ref)
+            return n_samples, chunk_size, model, None
         if transformer is None:
             raise ArtifactError(
                 f"artifact {ref!r} was released without a preprocessing "
@@ -309,7 +312,10 @@ class SynthesisService:
                     chunk = chunk[:, :width]
             return transformer.inverse_transform(chunk)
 
-        return decode
+        return n_samples, chunk_size, model, decode
+
+    def _request_rng(self, seed) -> Optional[np.random.Generator]:
+        return None if seed is None else as_generator(seed)
 
     def stream(
         self,
@@ -327,8 +333,9 @@ class SynthesisService:
         category labels and raw numeric ranges instead of the model-space
         ``[0, 1]`` matrix (requires the artifact to carry one).
         """
-        n_samples, chunk_size, model = self._open_request(ref, n_samples, chunk_size)
-        inverse = self._inverse(ref, original_space, model)
+        n_samples, chunk_size, model, inverse = self._open_request(
+            ref, n_samples, chunk_size, original_space
+        )
         rng = self._request_rng(seed)
 
         def generate():
@@ -364,8 +371,9 @@ class SynthesisService:
         ``original_space=True`` decodes each feature chunk through the
         artifact's fitted transformer (labels are emitted as-is either way).
         """
-        n_samples, chunk_size, model = self._open_request(ref, n_samples, chunk_size)
-        inverse = self._inverse(ref, original_space, model)
+        n_samples, chunk_size, model, inverse = self._open_request(
+            ref, n_samples, chunk_size, original_space
+        )
         rng = self._request_rng(seed)
         ratio = getattr(model, "_label_ratio", None)
         if ratio is None:
@@ -419,8 +427,10 @@ class SynthesisService:
         (unless ``model_space``), model-space ``feature_i`` columns
         otherwise, and a trailing ``label`` column for a labelled release.
         The stream is built eagerly, so a bad request raises here, before any
-        byte is written.
+        byte is written.  The request makes one counted cache lookup, through
+        :meth:`get`; the stream is then built from the resident entry.
         """
+        model = self.get(ref)
         transformer = self.transformer(ref)
         original = transformer is not None and not model_space
         stream = (self.stream_labeled if labeled else self.stream)(
@@ -429,7 +439,6 @@ class SynthesisService:
         if original:
             names = list(transformer.schema.names)
         else:
-            model = self.get(ref)
             width = getattr(model, "n_feature_columns", None) if labeled else None
             if width is None:
                 width = int(model.n_input_features_)
@@ -448,9 +457,3 @@ class SynthesisService:
         X = np.vstack([chunk[0] for chunk in chunks])
         y = np.concatenate([chunk[1] for chunk in chunks])
         return X, y
-
-    def privacy(self, ref) -> tuple:
-        """The ``(epsilon, delta)`` guarantee of a released model."""
-        from repro.serving.artifacts import manifest_privacy
-
-        return manifest_privacy(self.manifest(ref))

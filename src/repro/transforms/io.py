@@ -19,25 +19,20 @@ import numpy as np
 __all__ = ["read_csv", "write_csv", "format_table"]
 
 
-def read_csv(path, delimiter: str = ",", header: bool = True):
-    """Read a CSV into ``(names, rows)``.
+def read_csv(path):
+    """Read a comma-separated file with a header row into ``(names, rows)``.
 
     ``rows`` is a 2-D object array of *strings* (schema inference / the
-    transformer decide what is numeric); ``names`` is the header row, or
-    generated ``column_i`` names when ``header=False``.
+    transformer decide what is numeric); ``names`` is the header row.
     """
     path = Path(path)
     with open(path, newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        records = [row for row in reader if row]
+        records = [row for row in csv.reader(handle) if row]
     if not records:
         raise ValueError(f"{path} is empty")
-    if header:
-        names, records = records[0], records[1:]
-        if not records:
-            raise ValueError(f"{path} has a header but no data rows")
-    else:
-        names = [f"column_{index}" for index in range(len(records[0]))]
+    names, records = records[0], records[1:]
+    if not records:
+        raise ValueError(f"{path} has a header but no data rows")
     widths = {len(row) for row in records}
     if len(widths) != 1 or widths != {len(names)}:
         raise ValueError(

@@ -32,6 +32,10 @@ __all__ = ["COLUMN_KINDS", "ColumnSchema", "TableSchema"]
 #: The four column kinds a schema may declare.
 COLUMN_KINDS = ("numeric", "categorical", "ordinal", "binary")
 
+#: Most distinct values :meth:`TableSchema.infer` accepts in a non-numeric
+#: column; a wider one is more likely free text than a category.
+MAX_CATEGORIES = 64
+
 
 def _as_category_tuple(categories) -> Optional[tuple]:
     if categories is None:
@@ -187,14 +191,15 @@ class TableSchema:
         return cls([ColumnSchema(name, "numeric") for name in names])
 
     @classmethod
-    def infer(cls, rows, names=None, max_categories: int = 64) -> "TableSchema":
+    def infer(cls, rows, names=None) -> "TableSchema":
         """Infer a schema from a raw (possibly string-valued) 2-D table.
 
         The rule is deliberately simple and predictable: a column whose every
         value parses as a float is ``numeric``; any other column is
-        ``categorical`` (``binary`` when it has exactly two distinct values).
-        Integer-coded categories therefore infer as numeric — declare a schema
-        explicitly (or via ``--schema``) when that is not what you want.
+        ``categorical`` (``binary`` when it has exactly two distinct values)
+        with at most :data:`MAX_CATEGORIES` levels.  Integer-coded categories
+        therefore infer as numeric — declare a schema explicitly (or via
+        ``--schema``) when that is not what you want.
         """
         rows = np.asarray(rows, dtype=object)
         if rows.ndim != 2:
@@ -213,10 +218,10 @@ class TableSchema:
                 np.asarray(values, dtype=np.float64)
             except (TypeError, ValueError):
                 levels = np.unique([str(value) for value in values])
-                if len(levels) > max_categories:
+                if len(levels) > MAX_CATEGORIES:
                     raise ValueError(
                         f"column {name!r} has {len(levels)} distinct non-numeric "
-                        f"values (> max_categories={max_categories}); declare its "
+                        f"values (> MAX_CATEGORIES={MAX_CATEGORIES}); declare its "
                         "schema explicitly if it really is categorical"
                     )
                 kind = "binary" if len(levels) == 2 else "categorical"

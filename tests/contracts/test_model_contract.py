@@ -81,9 +81,8 @@ def test_privacy_spent_respects_the_configured_budget(name, fitted_contract_mode
             f"{name} spent epsilon={epsilon_spent} over its target {model.epsilon}"
         )
         assert delta_spent <= getattr(model, "delta", delta_spent) + 1e-12
-        assert model.is_private
     else:
-        assert np.isinf(epsilon_spent) and not model.is_private
+        assert np.isinf(epsilon_spent)
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)

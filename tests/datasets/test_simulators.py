@@ -6,7 +6,6 @@ import pytest
 from repro.datasets import (
     DATASET_REGISTRY,
     Dataset,
-    dataset_summaries,
     load_dataset,
     make_adult,
     make_credit,
@@ -127,7 +126,10 @@ class TestReproducibilityAndRegistry:
             load_dataset("census2020")
 
     def test_summaries_cover_all_datasets(self):
-        rows = dataset_summaries(n_samples=300)
+        rows = [
+            load_dataset(name, n_samples=300, random_state=0).summary()
+            for name in DATASET_REGISTRY
+        ]
         assert {row["name"] for row in rows} == set(DATASET_REGISTRY)
         for row in rows:
             assert row["n_samples"] == 300
@@ -151,19 +153,19 @@ class TestLearnability:
     @pytest.mark.parametrize("maker", [make_adult, make_esr, make_isolet])
     def test_binary_datasets_learnable(self, maker):
         data = maker(2500, random_state=0)
-        model = LogisticRegression(n_iter=200, random_state=0).fit(data.X_train, data.y_train)
+        model = LogisticRegression(n_iter=200).fit(data.X_train, data.y_train)
         scores = model.predict_proba(data.X_test)[:, 1]
         assert roc_auc_score(data.y_test, scores) > 0.7
 
     def test_credit_learnable(self):
         data = make_credit(n_samples=30000, random_state=0)
-        model = LogisticRegression(n_iter=200, random_state=0).fit(data.X_train, data.y_train)
+        model = LogisticRegression(n_iter=200).fit(data.X_train, data.y_train)
         scores = model.predict_proba(data.X_test)[:, 1]
         assert roc_auc_score(data.y_test, scores) > 0.8
 
     def test_images_learnable(self):
         data = make_mnist(n_samples=1500, random_state=0)
-        model = LogisticRegression(n_iter=150, learning_rate=0.5, random_state=0).fit(
+        model = LogisticRegression(n_iter=150, learning_rate=0.5).fit(
             data.X_train, data.y_train
         )
         accuracy = accuracy_score(data.y_test, model.predict(data.X_test))

@@ -106,6 +106,14 @@ class TestSaveLoadRoundTrip:
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "nowhere")
 
+    def test_damaged_state_raises(self, tmp_path, toy_unlabeled_data, damage_npz):
+        model, trainer, _, loss = make_training_setup(toy_unlabeled_data, epochs=1)
+        trainer.fit(len(toy_unlabeled_data), 1, loss)
+        path = save_checkpoint(tmp_path / "epoch-000001", trainer, model, next_epoch=1)
+        damage_npz(path / "state.npz")
+        with pytest.raises(CheckpointError, match="state.npz"):
+            load_checkpoint(path)
+
     def test_unsupported_format_version_raises(self, tmp_path, toy_unlabeled_data):
         import json
 

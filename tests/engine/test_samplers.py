@@ -11,7 +11,7 @@ class TestShuffleSampler:
         sampler = ShuffleSampler(batch_size=32)
         rng = np.random.default_rng(0)
         batches = list(sampler.epoch_batches(100, rng))
-        assert len(batches) == sampler.steps_per_epoch(100) == 4
+        assert len(batches) == 4
         assert [len(b) for b in batches] == [32, 32, 32, 4]
         seen = np.concatenate(batches)
         assert sorted(seen) == list(range(100))
@@ -38,7 +38,7 @@ class TestPoissonSampler:
     def test_step_count_is_fixed(self):
         sampler = PoissonSampler(sample_rate=0.1, steps=13)
         batches = list(sampler.epoch_batches(200, np.random.default_rng(0)))
-        assert len(batches) == 13 == sampler.steps_per_epoch(200)
+        assert len(batches) == 13
 
     def test_inclusion_frequency_matches_sample_rate(self):
         """Statistical check: each record enters a batch w.p. ``sample_rate``."""

@@ -30,7 +30,7 @@ def small_mnist():
     return load_dataset("mnist", n_samples=800, random_state=0)
 
 
-FAST_CLASSIFIERS = {"LogisticRegression": lambda: LogisticRegression(n_iter=150, random_state=0)}
+FAST_CLASSIFIERS = {"LogisticRegression": lambda: LogisticRegression(n_iter=150)}
 
 
 class TestUtilityProtocol:

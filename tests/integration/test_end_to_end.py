@@ -20,7 +20,7 @@ from repro.evaluation import (
 from repro.ml import LogisticRegression
 from repro.models import DPGM, P3GM, PrivBayes
 
-FAST_CLASSIFIER = {"LogisticRegression": lambda: LogisticRegression(n_iter=150, random_state=0)}
+FAST_CLASSIFIER = {"LogisticRegression": lambda: LogisticRegression(n_iter=150)}
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,7 @@ class TestPrivacyEndToEnd:
             latent_dim=10, hidden=(32,), epochs=2, batch_size=200,
             epsilon=1.0, noise_multiplier=2.9, random_state=0,
         ).fit(esr.X_train, esr.y_train)
-        assert model.privacy_spent()[0] < model.privacy_spent_baseline()
+        assert model.privacy_spent()[0] < model.accountant_.epsilon_baseline(model.delta)
         rows = run_fig6_composition(sigmas=(2.0,))
         assert rows[0]["epsilon_rdp"] < rows[0]["epsilon_zcdp_ma"]
 
@@ -96,8 +96,9 @@ class TestCapabilityClaims:
 
     def test_sample_quality_metrics_valid_for_private_models(self):
         """At laptop-scale image sizes both private models produce valid
-        (finite, in-range) quality metrics; the paper's diversity ordering is
-        checked at benchmark scale instead (see EXPERIMENTS.md known gaps)."""
+        (finite, in-range) quality metrics.  The paper's diversity ordering
+        is not asserted: at 900 simulated images P3GM at epsilon=1 still
+        samples at chance."""
         data = load_dataset("mnist", n_samples=900, random_state=0)
         p3gm = P3GM(latent_dim=10, hidden=(64,), epochs=3, batch_size=200, epsilon=1.0,
                     noise_multiplier=1.42, random_state=0).fit(data.X_train, data.y_train)

@@ -36,7 +36,7 @@ def make_multiclass_problem(seed=0, n=600, d=6, k=3):
 
 
 ALL_BINARY = [
-    lambda: LogisticRegression(n_iter=200, random_state=0),
+    lambda: LogisticRegression(n_iter=200),
     lambda: AdaBoostClassifier(n_estimators=20, random_state=0),
     lambda: GradientBoostingClassifier(
         n_estimators=40, max_depth=3, min_samples_leaf=5, min_samples_split=10, max_features=None, random_state=0
@@ -111,7 +111,7 @@ class TestBinaryClassifiers:
 class TestMulticlass:
     def test_logistic_multiclass(self):
         X, y = make_multiclass_problem()
-        model = LogisticRegression(n_iter=300, random_state=0).fit(X[:450], y[:450])
+        model = LogisticRegression(n_iter=300).fit(X[:450], y[:450])
         assert accuracy_score(y[450:], model.predict(X[450:])) > 0.8
         proba = model.predict_proba(X[450:])
         assert proba.shape == (150, 3)
@@ -131,5 +131,5 @@ class TestMulticlass:
     def test_classes_preserved(self):
         X, y = make_binary_problem()
         labels = np.where(y == 1, "fraud", "ok")
-        model = LogisticRegression(n_iter=100, random_state=0).fit(X, labels)
+        model = LogisticRegression(n_iter=100).fit(X, labels)
         assert set(model.predict(X[:10])) <= {"fraud", "ok"}

@@ -82,7 +82,7 @@ class TestPGM:
 
     def test_nonprivate(self, toy_unlabeled_data):
         model = small_pgm(epochs=1).fit(toy_unlabeled_data)
-        assert not model.is_private
+        assert np.isinf(model.privacy_spent()[0])
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -105,7 +105,6 @@ class TestP3GM:
         eps, delta = model.privacy_spent()
         assert eps <= 1.0 + 1e-3
         assert delta == 1e-5
-        assert model.is_private
 
     def test_uses_private_components(self, toy_unlabeled_data):
         from repro.decomposition import DPPCA
@@ -133,7 +132,7 @@ class TestP3GM:
     def test_rdp_tighter_than_baseline_composition(self, toy_unlabeled_data):
         model = small_p3gm().fit(toy_unlabeled_data)
         eps_rdp, _ = model.privacy_spent()
-        assert eps_rdp < model.privacy_spent_baseline()
+        assert eps_rdp < model.accountant_.epsilon_baseline(model.delta)
 
     def test_skips_pca_and_its_budget_for_low_dim_data(self, rng):
         X = rng.uniform(size=(400, 4))

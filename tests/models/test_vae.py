@@ -47,7 +47,6 @@ class TestVAE:
     def test_not_private(self, toy_unlabeled_data):
         model = small_vae().fit(toy_unlabeled_data)
         eps, _ = model.privacy_spent()
-        assert not model.is_private
         assert np.isinf(eps)
 
     def test_unfitted_raises(self):
@@ -101,7 +100,6 @@ class TestVAE:
         eps, delta = model.privacy_spent()
         assert eps <= 1.0 + 1e-6
         assert delta == 1e-5
-        assert model.is_private
 
     def test_explicit_noise_multiplier_reported(self, toy_unlabeled_data):
         model = DPVAE(

@@ -77,7 +77,7 @@ def test_fused_counters_follow_the_current_registry():
 
     def counts(registry):
         return tuple(
-            registry.counter(f"repro_inference_fused_{kind}_total").total()
+            sum(registry.counter(f"repro_inference_fused_{kind}_total").samples().values())
             for kind in ("calls", "rows")
         )
 

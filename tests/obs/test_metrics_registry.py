@@ -29,7 +29,7 @@ class TestInstruments:
         assert requests.value(route="sample", status="200") == 4
         assert requests.value(route="models", status="200") == 1
         assert requests.value(route="missing", status="500") == 0
-        assert requests.total() == 5
+        assert sum(requests.samples().values()) == 5
 
     def test_counter_rejects_negative_increments(self, registry):
         with pytest.raises(ValueError, match="only go up"):
@@ -42,11 +42,11 @@ class TestInstruments:
         with pytest.raises(ValueError, match="takes labels"):
             counter.inc()  # missing the declared label entirely
 
-    def test_gauge_set_inc_dec(self, registry):
+    def test_gauge_set_and_inc(self, registry):
         gauge = registry.gauge("g")
         gauge.set(5)
         gauge.inc(2)
-        gauge.dec()
+        gauge.inc(-1)
         assert gauge.value() == 6.0
         assert registry.gauge("absent_default").value(default=9.5) == 9.5
 
@@ -112,7 +112,7 @@ class TestThreadSafety:
         for thread in pool:
             thread.join()
 
-        assert counter.total() == threads * per_thread
+        assert sum(counter.samples().values()) == threads * per_thread
         assert counter.value(worker="0") == threads * per_thread / 2
         assert gauge.value() == threads * per_thread
         snap = histogram.snapshot()
@@ -149,7 +149,7 @@ class TestPrometheusExposition:
         latency.observe(0.5)
         latency.observe(5.0)
 
-        assert registry.render_prometheus() == (
+        assert render_prometheus_snapshot(registry.snapshot(), registry) == (
             "# HELP repro_http_request_seconds Request latency\n"
             "# TYPE repro_http_request_seconds histogram\n"
             'repro_http_request_seconds_bucket{le="0.1"} 1\n'
@@ -169,7 +169,7 @@ class TestPrometheusExposition:
     def test_label_values_are_escaped(self, registry):
         counter = registry.counter("c_total", labels=("path",))
         counter.inc(path='a"b\\c\nd')
-        assert 'path="a\\"b\\\\c\\nd"' in registry.render_prometheus()
+        assert 'path="a\\"b\\\\c\\nd"' in render_prometheus_snapshot(registry.snapshot(), registry)
 
     def test_buckets_are_cumulative_in_prometheus_but_not_json(self, registry):
         histogram = registry.histogram("h", buckets=(1.0, 2.0))
@@ -177,7 +177,7 @@ class TestPrometheusExposition:
         histogram.observe(1.5)
         # JSON keeps per-bucket counts (the PR-5 /metrics convention)...
         assert histogram.snapshot()["buckets"] == {"1.0": 1, "2.0": 1, "+Inf": 0}
-        text = registry.render_prometheus()
+        text = render_prometheus_snapshot(registry.snapshot(), registry)
         # ...while Prometheus gets the standard cumulative le series.
         assert 'h_bucket{le="1"} 1' in text
         assert 'h_bucket{le="2"} 2' in text
@@ -205,7 +205,7 @@ class TestJsonExposition:
         # histogram has no observations to bucket.
         assert snapshot["fresh_labeled_total"]["series"] == []
         assert snapshot["fresh_seconds"]["series"] == []
-        assert "fresh_total 0\n" in registry.render_prometheus()
+        assert "fresh_total 0\n" in render_prometheus_snapshot(registry.snapshot(), registry)
 
 
 class TestDisableSwitch:
@@ -213,7 +213,7 @@ class TestDisableSwitch:
         registry = MetricsRegistry(enabled=False)
         counter = registry.counter("c_total", labels=("k",))
         counter.inc(k="x")
-        assert counter.total() == 0
+        assert counter.samples() == {}
         histogram = registry.histogram("h", buckets=(1.0,))
         histogram.observe(0.5)
         snap = histogram.snapshot()
@@ -236,7 +236,7 @@ class TestDisableSwitch:
     def test_disabled_registry_renders_help_and_type_lines_only(self):
         registry = MetricsRegistry(enabled=False)
         registry.counter("plain_total", "what it counts").inc()
-        assert registry.render_prometheus() == (
+        assert render_prometheus_snapshot(registry.snapshot(), registry) == (
             "# HELP plain_total what it counts\n# TYPE plain_total counter\n"
         )
 

@@ -61,9 +61,7 @@ def serve_root(root, *, service_kwargs=None, **server_kwargs):
 
 
 @contextmanager
-def serve_pool(
-    root, processes=2, *, service_kwargs=None, pool_kwargs=None, **server_kwargs
-):
+def serve_pool(root, processes=2, *, service_kwargs=None, **server_kwargs):
     """Run a pre-fork :class:`WorkerPool` over ``root`` for the block's duration.
 
     Yields ``(pool, client, service)``; ``service`` is a supervisor-side
@@ -81,7 +79,6 @@ def serve_pool(
         make_service,
         processes,
         server_kwargs=server_kwargs,
-        **(pool_kwargs or {}),
     )
     pool.start()
     client = ServingClient(port=pool.port)

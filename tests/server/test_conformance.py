@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.server.protocol import to_jsonable
+from repro.serving.artifacts import read_manifest
 from repro.serving.registry import registered_synthesizers
 from server_kit import serve_root
 
@@ -142,7 +143,7 @@ class TestDescribe:
     def test_model_endpoint_reports_manifest_and_privacy(self, http, name):
         _, client, service = http
         description = client.model(name)
-        manifest = service.manifest(name)
+        manifest = read_manifest(service.resolve(name))
         assert description["model_class"] == manifest["model_class"]
         assert description["privacy"] == manifest["privacy"]
         assert description["labeled"] is True

@@ -112,9 +112,7 @@ class TestGracefulDrain:
     def test_sigterm_finishes_the_active_stream_before_exit(
         self, numeric_artifact_root
     ):
-        with serve_pool(
-            numeric_artifact_root, processes=2, pool_kwargs={"drain_timeout": 60.0}
-        ) as (pool, client, _):
+        with serve_pool(numeric_artifact_root, processes=2) as (pool, client, _):
             conn, response = _open_stream(
                 pool.port, n_samples=self.N_ROWS, chunk_size=512, timeout=60
             )
@@ -135,9 +133,7 @@ class TestGracefulDrain:
     def test_pool_stop_graceful_drains_in_flight_streams(
         self, numeric_artifact_root
     ):
-        with serve_pool(
-            numeric_artifact_root, processes=2, pool_kwargs={"drain_timeout": 60.0}
-        ) as (pool, client, _):
+        with serve_pool(numeric_artifact_root, processes=2) as (pool, client, _):
             conn, response = _open_stream(
                 pool.port, n_samples=self.N_ROWS, chunk_size=512, timeout=60
             )

@@ -121,6 +121,22 @@ class TestErrorTable:
             assert status == 409
             assert payload["error"]["code"] == "artifact_error"
 
+    def test_damaged_weights_are_409_not_500(
+        self, numeric_artifact_root, tmp_path_factory, damage_npz
+    ):
+        import shutil
+
+        from server_kit import serve_root
+
+        root = tmp_path_factory.mktemp("damaged-root")
+        shutil.copytree(numeric_artifact_root / "vae", root / "broken")
+        damage_npz(root / "broken" / "weights.npz")
+        with serve_root(root, workers=2) as (_, client, _):
+            status, _, payload = post(client, "/v1/models/broken/sample", {"n_samples": 5})
+        assert status == 409
+        assert payload["error"]["code"] == "artifact_error"
+        assert "weights.npz" in payload["error"]["message"]
+
     def test_sample_labeled_on_unlabeled_artifact_is_409(self, http_server):
         _, client, _ = http_server
         status, _, payload = post(

@@ -127,6 +127,11 @@ class TestManifestValidation:
         with pytest.raises(ArtifactError, match="weights.npz"):
             load_artifact(artifact)
 
+    def test_damaged_weights_are_an_artifact_error(self, artifact, damage_npz):
+        damage_npz(artifact / "weights.npz")
+        with pytest.raises(ArtifactError, match="weights.npz"):
+            load_artifact(artifact)
+
     def test_non_artifact_directory_is_refused(self, tmp_path):
         with pytest.raises(ArtifactError, match="manifest.json"):
             load_artifact(tmp_path)

@@ -105,6 +105,19 @@ class TestSample:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_damaged_weights_exit_2_with_an_error_line(
+        self, trained_artifact, tmp_path, capsys, damage_npz
+    ):
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(trained_artifact, broken)
+        damage_npz(broken / "weights.npz")
+        code = main(["sample", "--artifact", str(broken), "-n", "10"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "weights.npz" in err
+
     def test_labeled_sampling_from_unlabeled_artifact_exits_cleanly(self, tmp_path, capsys):
         path = tmp_path / "unlabeled"
         main(

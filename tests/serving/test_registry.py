@@ -1,9 +1,8 @@
-"""Registry wiring: names, classes, and the Table-I capability tie-in."""
+"""Registry wiring: names and classes."""
 
 import pytest
 
 from repro.models import P3GM, VAE
-from repro.models.capabilities import capability_for
 from repro.serving import (
     MODEL_REGISTRY,
     get_model_spec,
@@ -18,6 +17,7 @@ def test_registry_covers_all_six_synthesizers():
 
 def test_get_model_spec_is_case_insensitive_and_validates():
     assert get_model_spec("P3GM").cls is P3GM
+    assert get_model_spec("vae").cls is VAE
     with pytest.raises(KeyError, match="registered synthesizers"):
         get_model_spec("gpt")
 
@@ -27,19 +27,3 @@ def test_resolve_model_class_round_trips_every_spec():
         assert resolve_model_class(spec.cls.__name__) is spec.cls
     with pytest.raises(KeyError, match="known classes"):
         resolve_model_class("Unknown")
-
-
-def test_capabilities_are_wired_from_table1():
-    p3gm = get_model_spec("p3gm").capability
-    assert p3gm is not None
-    assert p3gm.differentially_private and p3gm.diverse_samples and p3gm.high_dimensional
-    dpgm = get_model_spec("dp-gm").capability
-    assert dpgm is not None and not dpgm.diverse_samples
-    # Non-private reference models are not rows of Table I.
-    assert get_model_spec("vae").capability is None
-    assert get_model_spec("vae").cls is VAE
-
-
-def test_capability_for_unknown_model_is_none():
-    assert capability_for("not-a-model") is None
-    assert capability_for("p3gm").model == "P3GM"

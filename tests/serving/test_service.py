@@ -22,11 +22,6 @@ class TestResolutionAndCache:
         service = SynthesisService(artifact_root=artifact_root)
         assert service.sample("vae", 5, seed=0).shape[0] == 5
 
-    def test_registered_names_resolve(self, artifact_root):
-        service = SynthesisService()
-        service.register("prod", artifact_root / "pgm")
-        assert service.sample("prod", 5, seed=0).shape[0] == 5
-
     def test_missing_artifact_raises(self, artifact_root):
         service = SynthesisService(artifact_root=artifact_root)
         with pytest.raises(ArtifactError, match="no artifact found"):
@@ -118,12 +113,6 @@ class TestStreaming:
         with pytest.raises(ValueError, match="n_samples must be a positive integer"):
             service.sample("vae", 2.5)
 
-    def test_manifest_and_privacy_shortcuts(self, artifact_root):
-        service = SynthesisService(artifact_root=artifact_root)
-        assert service.manifest("vae")["model_class"] == "VAE"
-        eps, delta = service.privacy("vae")
-        assert np.isinf(eps) and delta == 0.0
-
 
 class TestDescribe:
     def test_describe_summarises_the_manifest_without_loading_weights(self, artifact_root):
@@ -136,10 +125,12 @@ class TestDescribe:
         service.get("vae")
         assert service.describe("vae")["cached"] is True
 
-    def test_available_merges_registered_names_and_root_directories(self, artifact_root):
+    def test_available_lists_the_artifact_directories_under_the_root(
+        self, artifact_root
+    ):
         service = SynthesisService(artifact_root=artifact_root)
-        service.register("prod", artifact_root / "pgm")
-        assert service.available() == ["pgm", "privbayes", "prod", "vae"]
+        assert service.available() == ["pgm", "privbayes", "vae"]
+        assert SynthesisService().available() == []
 
 
 class TestConcurrencyContract:
@@ -210,6 +201,57 @@ class TestConcurrencyContract:
         stats = service.cache_stats
         assert stats["hits"] + stats["misses"] == n_threads * gets_per_thread
         assert stats["misses"] == len(calls)
+        assert stats["size"] == 1
+
+    def test_releases_under_eviction_churn_count_every_load_as_a_miss(
+        self, artifact_root, monkeypatch
+    ):
+        # Two refs fighting over a cache of one, through open_release: a
+        # stream's entry read may find its artifact evicted since the
+        # request's lookup and reload it, but every load is a counted miss
+        # and every release still draws the serial bytes.
+        import sys
+
+        refs = ("vae", "pgm")
+        reference = {
+            ref: SynthesisService(artifact_root=artifact_root).sample(
+                ref, 12, seed=3, chunk_size=5
+            )
+            for ref in refs
+        }
+        calls = self._count_loads(monkeypatch, delay=0.001)
+        service = SynthesisService(artifact_root=artifact_root, cache_size=1)
+        n_threads, releases_per_thread = 6, 6
+        barrier = threading.Barrier(n_threads)
+        results = []
+
+        def worker(index):
+            ref = refs[index % 2]
+            barrier.wait()
+            for _ in range(releases_per_thread):
+                stream, _ = service.open_release(
+                    ref, 12, labeled=False, seed=3, chunk_size=5
+                )
+                results.append((ref, np.vstack(list(stream))))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == n_threads * releases_per_thread
+        for ref, rows in results:
+            assert np.array_equal(rows, reference[ref])
+        stats = service.cache_stats
+        assert stats["misses"] == len(calls)
+        assert stats["hits"] + stats["misses"] >= n_threads * releases_per_thread
         assert stats["size"] == 1
 
     def test_concurrent_seeded_streams_match_serial_draws(self, artifact_root):
@@ -288,6 +330,40 @@ class TestLoadFutures:
             release.set()
             loader.join(timeout=30)
         assert not loader.is_alive()
+
+    def test_slow_transformer_load_does_not_block_hits_on_other_keys(
+        self, artifact_root, monkeypatch
+    ):
+        # The transformer is read by the same per-key load as the model, not
+        # under the service lock: a hit on a resident artifact comes back at
+        # once while another artifact's transformer.npz is still being read.
+        import time
+
+        import repro.serving.service as service_module
+
+        real = service_module.load_transformer
+        started, release = threading.Event(), threading.Event()
+
+        def gated(path):
+            if str(path).endswith("vae"):
+                started.set()
+                release.wait(timeout=5)
+            return real(path)
+
+        monkeypatch.setattr(service_module, "load_transformer", gated)
+        service = SynthesisService(artifact_root=artifact_root, cache_size=2)
+        warm = service.get("pgm")
+        reader = threading.Thread(target=service.transformer, args=("vae",))
+        reader.start()
+        try:
+            assert started.wait(timeout=10)
+            began = time.perf_counter()
+            assert service.get("pgm") is warm
+            elapsed = time.perf_counter() - began
+        finally:
+            release.set()
+            reader.join(timeout=30)
+        assert elapsed < 1.0
 
     def test_distinct_cold_keys_load_concurrently(self, artifact_root, monkeypatch):
         import repro.serving.service as service_module

@@ -72,6 +72,16 @@ class TestTransformerPersistence:
         with pytest.raises(ArtifactError, match="transformer.npz is missing"):
             load_transformer(broken)
 
+    def test_damaged_state_file_is_an_artifact_error(self, mixed_release, tmp_path, damage_npz):
+        import shutil
+
+        path, *_ = mixed_release
+        broken = tmp_path / "broken"
+        shutil.copytree(path, broken)
+        damage_npz(broken / "transformer.npz")
+        with pytest.raises(ArtifactError, match="transformer.npz"):
+            load_transformer(broken)
+
     def test_recorded_numeric_encoding_other_than_minmax_is_refused(self, mixed_release, tmp_path):
         import shutil
 
@@ -149,6 +159,22 @@ class TestOriginalSpaceService:
         service = SynthesisService()
         with pytest.raises(ArtifactError, match="original-space output is unavailable"):
             next(service.stream(path, 5, original_space=True))
+
+    @pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
+    @pytest.mark.parametrize("model_space", [False, True], ids=["original", "model_space"])
+    def test_a_release_makes_one_counted_lookup(self, mixed_release, labeled, model_space):
+        path, *_ = mixed_release
+        service = SynthesisService()
+        for _ in range(2):  # a cold request, then a warm one
+            before = service.cache_stats
+            stream, _ = service.open_release(
+                path, 5, labeled=labeled, seed=0, model_space=model_space
+            )
+            list(stream)
+            after = service.cache_stats
+            counted = after["hits"] + after["misses"] - before["hits"] - before["misses"]
+            assert counted == 1
+        assert (after["misses"], after["hits"]) == (1, 1)
 
     def test_transformer_is_cached_with_the_model(self, mixed_release):
         path, *_ = mixed_release

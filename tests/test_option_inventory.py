@@ -1,10 +1,12 @@
-"""Inventory of the package's options: environment switches and constructor parameters.
+"""Inventory of the package's options: environment switches and parameters.
 
 Every environment variable is an option: it doubles the configurations the
 tests and benchmarks must cover.  So is every constructor parameter of a
 model, of the classifiers the utility protocol trains, of the mixtures the
-phased models fit and of the optimizer they train with.  These tests pin
-both sets, so adding a switch to ``src/repro`` takes a deliberate edit here.
+phased models fit and of the optimizer they train with, and every parameter
+of the release tier's service, servers, pool and request parsers.  These
+tests pin all of them, so adding a switch to ``src/repro`` takes a
+deliberate edit here.
 """
 
 import ast
@@ -24,7 +26,13 @@ from repro.ml import (
 from repro.mixture import DPGaussianMixture, GaussianMixture
 from repro.models import DPGM, DPVAE, P3GM, PGM, VAE, PrivBayes
 from repro.nn import Adam
+from repro.server.app import SynthesisHTTPServer
+from repro.server.control import ControlServer, PoolPeers
+from repro.server.pool import WorkerPool
+from repro.server.protocol import parse_sample_request
+from repro.serving import SynthesisService
 from repro.serving.registry import MODEL_REGISTRY
+from repro.transforms import TableSchema, read_csv
 
 PACKAGE_ROOT = Path(repro.__file__).parent
 
@@ -115,7 +123,7 @@ EXPECTED_CONSTRUCTOR_PARAMETERS = {
         "epsilon", "delta", "min_cluster_size", "max_grad_norm", "random_state",
     ),
     PrivBayes: ("epsilon", "degree", "n_bins", "random_state"),
-    LogisticRegression: ("learning_rate", "n_iter", "random_state"),
+    LogisticRegression: ("learning_rate", "n_iter"),
     AdaBoostClassifier: ("n_estimators", "max_depth", "random_state"),
     GradientBoostingClassifier: (
         "n_estimators", "learning_rate", "max_depth", "min_samples_leaf",
@@ -143,3 +151,29 @@ def test_constructor_parameters_are_pinned(cls):
 def test_every_registered_model_is_pinned():
     registered = {spec.cls for spec in MODEL_REGISTRY.values()}
     assert registered <= set(EXPECTED_CONSTRUCTOR_PARAMETERS)
+
+
+#: The parameters of the release tier's service, servers, worker pool and its
+#: control channel, and of the parsers a release request and a training CSV
+#: go through, in signature order.
+EXPECTED_RELEASE_TIER_PARAMETERS = {
+    SynthesisService: ("artifact_root", "cache_size", "chunk_size", "registry"),
+    SynthesisHTTPServer: (
+        "address", "service", "workers", "max_rows", "max_connections", "access_log",
+        "registry", "listen_socket",
+    ),
+    WorkerPool: ("address", "service_factory", "processes", "server_kwargs"),
+    PoolPeers: ("control_dir", "exclude"),
+    ControlServer: ("path", "payload"),
+    parse_sample_request: ("body", "max_rows"),
+    read_csv: ("path",),
+    TableSchema.infer: ("rows", "names"),
+}
+
+
+@pytest.mark.parametrize(
+    "callable_", EXPECTED_RELEASE_TIER_PARAMETERS, ids=lambda fn: fn.__qualname__
+)
+def test_release_tier_parameters_are_pinned(callable_):
+    parameters = tuple(inspect.signature(callable_).parameters)
+    assert parameters == EXPECTED_RELEASE_TIER_PARAMETERS[callable_]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.transforms import COLUMN_KINDS, ColumnSchema, TableSchema
+from repro.transforms.schema import MAX_CATEGORIES
 
 
 class TestColumnSchema:
@@ -96,6 +97,7 @@ class TestInference:
             TableSchema.infer(rows, names=["only_one"])
 
     def test_too_many_categories_is_an_explicit_error(self):
-        rows = np.array([[f"cat_{i}"] for i in range(40)], dtype=object)
-        with pytest.raises(ValueError, match="max_categories"):
-            TableSchema.infer(rows, names=["c"], max_categories=10)
+        rows = np.array([[f"cat_{i}"] for i in range(MAX_CATEGORIES + 1)], dtype=object)
+        with pytest.raises(ValueError, match="MAX_CATEGORIES"):
+            TableSchema.infer(rows, names=["c"])
+        assert TableSchema.infer(rows[:MAX_CATEGORIES], names=["c"]).kinds == ("categorical",)
