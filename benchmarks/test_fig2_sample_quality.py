@@ -7,20 +7,13 @@ lowest diversity (mode collapse towards centroids), and P3GM is close to the
 non-private VAE on both axes.
 """
 
-from conftest import profile_value, run_once
+from conftest import run_once
 
 from repro.evaluation import format_rows, run_fig2_sample_quality
 
 
 def test_fig2_sample_quality(benchmark, record_result):
-    rows = run_once(
-        benchmark,
-        run_fig2_sample_quality,
-        n_samples=profile_value(1000, 8000),
-        scale=profile_value("small", "paper"),
-        epsilon=1.0,
-        random_state=0,
-    )
+    rows = run_once(benchmark, run_fig2_sample_quality)
     text = format_rows(rows, title="Figure 2 (proxy): sample quality on simulated MNIST, epsilon=1")
     record_result("fig2_sample_quality", text)
 

@@ -5,22 +5,13 @@ P3GM degrades gracefully as epsilon shrinks and dominates at epsilon >= 1;
 the non-private PGM reference is an upper bound independent of epsilon.
 """
 
-from conftest import profile_value, run_once
+from conftest import run_once
 
 from repro.evaluation import format_rows, run_fig4_epsilon_sweep
 
 
 def test_fig4_epsilon_sweep(benchmark, record_result):
-    epsilons = profile_value((0.3, 10.0), (0.1, 0.3, 1.0, 3.0, 10.0))
-    rows = run_once(
-        benchmark,
-        run_fig4_epsilon_sweep,
-        epsilons=epsilons,
-        n_samples=profile_value(6000, 60000),
-        scale=profile_value("small", "paper"),
-        random_state=0,
-        models=("P3GM", "DP-GM", "PrivBayes"),
-    )
+    rows = run_once(benchmark, run_fig4_epsilon_sweep)
     text = format_rows(rows, title="Figure 4: AUROC/AUPRC vs epsilon on simulated Kaggle Credit")
     record_result("fig4_epsilon_sweep", text)
 

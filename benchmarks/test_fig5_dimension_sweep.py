@@ -6,22 +6,13 @@ d_p in [10, 100]), and degrades for very large d_p where DP-EM suffers from
 the curse of dimensionality.
 """
 
-from conftest import profile_value, run_once
+from conftest import run_once
 
 from repro.evaluation import format_rows, run_fig5_dimension_sweep
 
 
 def test_fig5_dimension_sweep(benchmark, record_result):
-    dimensions = profile_value((2, 10, 40), (2, 5, 10, 30, 100, 300))
-    rows = run_once(
-        benchmark,
-        run_fig5_dimension_sweep,
-        dimensions=dimensions,
-        n_samples=profile_value(1000, 8000),
-        scale=profile_value("small", "paper"),
-        epsilon=1.0,
-        random_state=0,
-    )
+    rows = run_once(benchmark, run_fig5_dimension_sweep)
     text = format_rows(rows, title="Figure 5: P3GM accuracy vs PCA dimension d_p (simulated MNIST)")
     record_result("fig5_dimension_sweep", text)
 

@@ -5,14 +5,13 @@ composition of the P3GM pipeline yields a smaller total epsilon than the
 baseline composition, and both curves decrease as sigma_s grows.
 """
 
-from conftest import profile_value, run_once
+from conftest import run_once
 
 from repro.evaluation import format_rows, run_fig6_composition
 
 
 def test_fig6_composition(benchmark, record_result):
-    sigmas = profile_value((1.0, 1.5, 2.0, 3.0, 5.0, 8.0), (1.0, 1.2, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0))
-    rows = run_once(benchmark, run_fig6_composition, sigmas=sigmas)
+    rows = run_once(benchmark, run_fig6_composition)
     text = format_rows(rows, title="Figure 6: total epsilon, RDP composition vs zCDP+MA baseline")
     record_result("fig6_composition", text)
 

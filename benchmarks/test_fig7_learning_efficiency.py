@@ -6,22 +6,13 @@ converges more slowly / noisily under the same privacy budget.
 """
 
 import numpy as np
-from conftest import profile_value, run_once
+from conftest import run_once
 
 from repro.evaluation import format_curves, run_fig7_learning_efficiency
 
 
 def test_fig7_learning_efficiency(benchmark, record_result):
-    curves = run_once(
-        benchmark,
-        run_fig7_learning_efficiency,
-        dataset_name="mnist",
-        n_samples=profile_value(1000, 8000),
-        epochs=profile_value(3, 10),
-        scale=profile_value("small", "paper"),
-        epsilon=1.0,
-        random_state=0,
-    )
+    curves = run_once(benchmark, run_fig7_learning_efficiency)
     text = "\n\n".join(
         [
             format_curves(curves, "reconstruction_loss", title="Figure 7a: reconstruction loss per epoch (simulated MNIST)"),
@@ -31,7 +22,7 @@ def test_fig7_learning_efficiency(benchmark, record_result):
     record_result("fig7_learning_efficiency", text)
 
     # The phased models' reconstruction loss must not diverge (a small relative
-    # tolerance absorbs DP-SGD noise at quick-profile sizes), and P3GM's final
+    # tolerance absorbs DP-SGD noise at the preset's laptop sizes), and P3GM's final
     # reconstruction loss should be no worse than DP-VAE's (two-phase training
     # is the paper's whole point).
     p3gm_loss = curves["P3GM"]["reconstruction_loss"]

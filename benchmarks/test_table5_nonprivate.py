@@ -4,20 +4,13 @@ Expected shape: PGM and P3GM stay reasonably close to the non-private VAE;
 P3GM (at (1, 1e-5)-DP) loses some utility but does not collapse.
 """
 
-from conftest import profile_value, run_once
+from conftest import run_once
 
 from repro.evaluation import format_rows, run_table5_nonprivate_comparison
 
 
 def test_table5_nonprivate_comparison(benchmark, record_result):
-    rows = run_once(
-        benchmark,
-        run_table5_nonprivate_comparison,
-        n_samples=profile_value(12000, 60000),
-        scale=profile_value("small", "paper"),
-        epsilon=1.0,
-        random_state=0,
-    )
+    rows = run_once(benchmark, run_table5_nonprivate_comparison)
     text = format_rows(
         rows,
         title="Table V: VAE vs PGM vs P3GM on simulated Kaggle Credit (AUROC/AUPRC averaged over 4 classifiers)",

@@ -5,25 +5,13 @@ on high-dimensional data generally; PrivBayes is competitive only on Adult
 (simple low-order dependencies); every method trails the "original" reference.
 """
 
-from conftest import profile_value, run_once
+from conftest import run_once
 
 from repro.evaluation import format_rows, run_table6_private_tabular
 
 
 def test_table6_private_tabular(benchmark, record_result):
-    sizes = profile_value(
-        {"credit": 10000, "esr": 1500, "adult": 2000, "isolet": 600},
-        {"credit": 60000, "esr": 8000, "adult": 20000, "isolet": 5000},
-    )
-    rows = run_once(
-        benchmark,
-        run_table6_private_tabular,
-        datasets=("credit", "esr", "adult", "isolet"),
-        n_samples=sizes,
-        scale=profile_value("small", "paper"),
-        epsilon=1.0,
-        random_state=0,
-    )
+    rows = run_once(benchmark, run_table6_private_tabular)
     text = format_rows(
         rows,
         title="Table VI: PrivBayes vs DP-GM vs P3GM vs original, epsilon=1 (AUROC/AUPRC averaged over 4 classifiers)",

@@ -4,21 +4,13 @@ Expected shape (paper): P3GM is far ahead of DP-GM and PrivBayes on both image
 datasets and within a modest gap of the non-private VAE.
 """
 
-from conftest import profile_value, run_once
+from conftest import run_once
 
 from repro.evaluation import format_rows, run_table7_image_classification
 
 
 def test_table7_image_classification(benchmark, record_result):
-    rows = run_once(
-        benchmark,
-        run_table7_image_classification,
-        datasets=("mnist", "fashion_mnist"),
-        n_samples=profile_value(1000, 10000),
-        scale=profile_value("small", "paper"),
-        epsilon=1.0,
-        random_state=0,
-    )
+    rows = run_once(benchmark, run_table7_image_classification)
     text = format_rows(
         rows, title="Table VII: classification accuracy on synthetic images, epsilon=1"
     )
@@ -37,7 +29,7 @@ def test_table7_image_classification(benchmark, record_result):
         ceiling = accuracy(dataset, "VAE")
         for model in ("P3GM", "DP-GM", "PrivBayes"):
             assert accuracy(dataset, model) <= ceiling + 0.05
-        # NOTE: at the quick-profile dataset sizes the Wishart DP-PCA noise
+        # NOTE: at the preset's laptop-scale sizes the Wishart DP-PCA noise
         # dominates the image covariance, so P3GM's absolute accuracy is far
         # below the paper's 0.79: a known gap of the simulated image data,
         # not a bound this benchmark can hold.  The assertion therefore only

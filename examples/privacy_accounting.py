@@ -44,7 +44,7 @@ def main() -> None:
     print(f"  (check: epsilon({sigma:.2f}) = {check:.3f})")
 
     # Figure 6: the full sweep over sigma_s.
-    rows = run_fig6_composition(sigmas=(1.0, 1.5, 2.0, 3.0, 5.0, 8.0))
+    rows = run_fig6_composition()
     print("\n" + format_rows(rows, title="Figure 6: epsilon vs sigma_s under the two composition methods"))
 
 

@@ -53,6 +53,8 @@ __all__ = [
 
 CHECKPOINT_FORMAT_VERSION = 1
 STATE_FILENAME = "state.npz"
+#: Checkpoints a :class:`CheckpointCallback` keeps; it prunes the oldest.
+KEEP_CHECKPOINTS = 3
 _EPOCH_DIR = re.compile(r"^epoch-(\d{6})$")
 _REQUIRED_MANIFEST_KEYS = (
     "checkpoint_format_version",
@@ -264,17 +266,13 @@ class CheckpointCallback(Callback):
 
     Place it *last* in the callback list (the :class:`CheckpointableMixin`
     wiring does) so it snapshots every other callback's post-epoch state.
-    ``keep`` bounds disk usage by pruning the oldest checkpoints; ``None``
-    keeps them all.
+    It bounds disk usage by keeping the newest :data:`KEEP_CHECKPOINTS`.
     """
 
-    def __init__(self, directory, every: int = 1, keep: Optional[int] = 3):
+    def __init__(self, directory, every: int = 1):
         check_positive(every, "every")
-        if keep is not None:
-            check_positive(keep, "keep")
         self.directory = Path(directory)
         self.every = int(every)
-        self.keep = None if keep is None else int(keep)
         #: Path of the most recently written checkpoint (None until one exists).
         self.last_saved: Optional[Path] = None
 
@@ -287,14 +285,12 @@ class CheckpointCallback(Callback):
         self._prune()
 
     def _prune(self) -> None:
-        if self.keep is None:
-            return
         found = sorted(
             entry
             for entry in self.directory.iterdir()
             if entry.is_dir() and _EPOCH_DIR.match(entry.name)
         )
-        for stale in found[: -self.keep]:
+        for stale in found[:-KEEP_CHECKPOINTS]:
             shutil.rmtree(stale, ignore_errors=True)
 
 
@@ -315,16 +311,13 @@ class CheckpointableMixin:
 
     _checkpoint_config: Optional[dict] = None
 
-    def configure_checkpointing(
-        self, directory, every: int = 1, resume: bool = False, keep: Optional[int] = 3
-    ):
+    def configure_checkpointing(self, directory, every: int = 1, resume: bool = False):
         """Enable checkpointing every ``every`` epochs under ``directory``."""
         check_positive(every, "every")
         self._checkpoint_config = {
             "directory": Path(directory),
             "every": int(every),
             "resume": bool(resume),
-            "keep": keep,
         }
         return self
 
@@ -332,9 +325,7 @@ class CheckpointableMixin:
         config = self._checkpoint_config
         if not config:
             return []
-        return [
-            CheckpointCallback(config["directory"], every=config["every"], keep=config["keep"])
-        ]
+        return [CheckpointCallback(config["directory"], every=config["every"])]
 
     def _engine_fit_kwargs(self) -> dict:
         config = self._checkpoint_config

@@ -1,27 +1,19 @@
-"""Experiment runners — one thin wrapper per table/figure of the paper.
+"""Experiment runners — one function per table/figure of the paper.
 
 Each function runs its named spec from :mod:`repro.experiments.presets`
-through :class:`repro.experiments.Runner`, overriding only the grid axes and
-trial params its arguments set.  An argument left at ``None`` keeps the
-preset's value (the presets' seed axis is ``(0,)``), so a wrapper called
-with no arguments runs exactly its preset.  The returned row/curve
-structures are those of the original hand-rolled loops (a golden-value test
-pins this), so the benchmark harness keeps working as before.
-
-Pass ``workers``/``cache_dir`` to any wrapper to parallelise or resume a
-sweep, or run a preset directly (e.g. ``python -m repro bench --spec
-fig4_epsilon_sweep``).
+through :class:`repro.experiments.Runner` and shapes the records into the
+rows (or, for Figure 7, the per-model curves) the benchmark harness prints.
+The preset is the experiment's only definition, so a function takes no
+arguments.  Another size, seed or grid is an
+:class:`~repro.experiments.ExperimentSpec` run by ``Runner``, and
+``python -m repro bench --spec NAME`` runs a preset with replicate seeds, a
+worker pool or a resumable cache.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import replace
-from typing import Optional, Sequence
-
-from repro.experiments.presets import TABLE6_SIZES, get_experiment
+from repro.experiments.presets import get_experiment
 from repro.experiments.runner import Runner
-from repro.experiments.spec import ExperimentSpec
 
 __all__ = [
     "run_table5_nonprivate_comparison",
@@ -34,38 +26,13 @@ __all__ = [
     "run_fig7_learning_efficiency",
 ]
 
-_AXES = ("models", "datasets", "epsilons", "seeds")
+
+def _records(name: str) -> list:
+    return Runner().run(get_experiment(name)).records
 
 
-def _override(spec: ExperimentSpec, **overrides) -> ExperimentSpec:
-    """``spec`` with the axes, grid axes and params set in ``overrides``.
-
-    ``None`` keeps the spec's value and a scalar stands for a one-value axis.
-    An axis the spec leaves undeclared stays undeclared, so a table's
-    ``original`` block never gains a model or epsilon axis.
-    """
-    changes, grid, params = {}, dict(spec.grid), dict(spec.params)
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key in _AXES or key in grid:
-            if isinstance(value, str) or not isinstance(value, Iterable):
-                value = (value,)
-            if key in grid:
-                grid[key] = tuple(value)
-            elif getattr(spec, key) != (None,):
-                changes[key] = tuple(value)
-        else:
-            params[key] = value
-    return replace(spec, grid=grid, params=params, **changes)
-
-
-def _preset(name: str, **overrides) -> tuple:
-    return tuple(_override(spec, **overrides) for spec in get_experiment(name))
-
-
-def _run(specs, workers: int, cache_dir):
-    return Runner(workers=workers, cache_dir=cache_dir).run(specs)
+def _rows(name: str) -> list:
+    return [record["result"] for record in _records(name)]
 
 
 # ---------------------------------------------------------------------------
@@ -73,42 +40,18 @@ def _run(specs, workers: int, cache_dir):
 # ---------------------------------------------------------------------------
 
 
-def run_table5_nonprivate_comparison(
-    n_samples: Optional[int] = None,
-    scale: Optional[str] = None,
-    epsilon: Optional[float] = None,
-    random_state: Optional[int] = None,
-    *, workers: int = 1, cache_dir=None,
-) -> list:
+def run_table5_nonprivate_comparison() -> list:
     """Table V: VAE vs PGM vs P3GM on the (simulated) Kaggle Credit dataset."""
-    specs = _preset(
-        "table5_nonprivate", epsilons=epsilon, seeds=random_state,
-        n_samples=n_samples, scale=scale,
-    )
-    return _run(specs, workers, cache_dir).rows()
+    return _rows("table5_nonprivate")
 
 
-def run_table6_private_tabular(
-    datasets: Optional[Sequence[str]] = None,
-    n_samples: Optional[dict] = None,
-    scale: Optional[str] = None,
-    epsilon: Optional[float] = None,
-    random_state: Optional[int] = None,
-    *, workers: int = 1, cache_dir=None,
-) -> list:
-    """Table VI: PrivBayes vs DP-GM vs P3GM vs original on four tabular datasets.
-
-    ``n_samples`` maps dataset names to sizes, overriding the preset's.
-    """
-    specs = _preset(
-        "table6_private_tabular", datasets=datasets, epsilons=epsilon, seeds=random_state,
-        sizes={**TABLE6_SIZES, **n_samples} if n_samples else None, scale=scale,
-    )
-    records = _run(specs, workers, cache_dir).records
+def run_table6_private_tabular() -> list:
+    """Table VI: PrivBayes vs DP-GM vs P3GM vs original on four tabular datasets."""
+    records = _records("table6_private_tabular")
     # The paper prints each dataset's synthesizer rows followed by its
     # "original" reference row.
     rows = []
-    for dataset_name in specs[0].datasets:
+    for dataset_name in get_experiment("table6_private_tabular")[0].datasets:
         for kind in ("utility", "original"):
             rows.extend(
                 record["result"]
@@ -118,20 +61,9 @@ def run_table6_private_tabular(
     return rows
 
 
-def run_table7_image_classification(
-    datasets: Optional[Sequence[str]] = None,
-    n_samples: Optional[int] = None,
-    scale: Optional[str] = None,
-    epsilon: Optional[float] = None,
-    random_state: Optional[int] = None,
-    *, workers: int = 1, cache_dir=None,
-) -> list:
+def run_table7_image_classification() -> list:
     """Table VII: classification accuracy on synthetic image data."""
-    specs = _preset(
-        "table7_images", datasets=datasets, epsilons=epsilon, seeds=random_state,
-        n_samples=n_samples, scale=scale,
-    )
-    return _run(specs, workers, cache_dir).rows()
+    return _rows("table7_images")
 
 
 # ---------------------------------------------------------------------------
@@ -139,112 +71,41 @@ def run_table7_image_classification(
 # ---------------------------------------------------------------------------
 
 
-def run_fig2_sample_quality(
-    n_samples: Optional[int] = None,
-    scale: Optional[str] = None,
-    epsilon: Optional[float] = None,
-    random_state: Optional[int] = None,
-    models: Optional[Sequence[str]] = None,
-    *, workers: int = 1, cache_dir=None,
-) -> list:
+def run_fig2_sample_quality() -> list:
     """Figure 2 proxy: fidelity/diversity/coverage of samples on simulated MNIST."""
-    specs = _preset(
-        "fig2_sample_quality", models=models, epsilons=epsilon, seeds=random_state,
-        n_samples=n_samples, scale=scale,
-    )
-    return _run(specs, workers, cache_dir).rows()
+    return _rows("fig2_sample_quality")
 
 
-def run_fig4_epsilon_sweep(
-    epsilons: Optional[Sequence[float]] = None,
-    n_samples: Optional[int] = None,
-    scale: Optional[str] = None,
-    random_state: Optional[int] = None,
-    models: Optional[Sequence[str]] = None,
-    include_nonprivate_reference: bool = True,
-    *, workers: int = 1, cache_dir=None,
-) -> list:
+def run_fig4_epsilon_sweep() -> list:
     """Figure 4: AUROC/AUPRC on Kaggle Credit as the privacy budget varies."""
-    reference, sweep = get_experiment("fig4_epsilon_sweep")
-    common = {"seeds": random_state, "n_samples": n_samples, "scale": scale}
-    # ``models`` picks the swept synthesizers; the reference stays the PGM line.
-    sweep = _override(sweep, models=models, epsilons=epsilons, **common)
-    specs = (sweep,)
-    if include_nonprivate_reference:
-        specs = (_override(reference, **common), sweep)
-    # One Runner.run over both blocks so the reference trial shares the pool
-    # with the sweep; the reference row (epsilon=None) is repeated per epsilon
+    # The non-private PGM reference row (epsilon=None) is repeated per epsilon
     # exactly like the paper's flat non-private line.
-    records = _run(specs, workers, cache_dir).records
-    rows = []
-    if include_nonprivate_reference:
-        reference_row = records[0]["result"]
-        records = records[1:]
-        for epsilon in sweep.epsilons:
-            rows.append({"epsilon": epsilon, **reference_row})
-    for record in records:
-        rows.append({"epsilon": record["epsilon"], **record["result"]})
+    reference, *sweep = _records("fig4_epsilon_sweep")
+    epsilons = get_experiment("fig4_epsilon_sweep")[1].epsilons
+    rows = [{"epsilon": epsilon, **reference["result"]} for epsilon in epsilons]
+    rows.extend({"epsilon": record["epsilon"], **record["result"]} for record in sweep)
     return rows
 
 
-def run_fig5_dimension_sweep(
-    dimensions: Optional[Sequence[int]] = None,
-    n_samples: Optional[int] = None,
-    scale: Optional[str] = None,
-    epsilon: Optional[float] = None,
-    random_state: Optional[int] = None,
-    *, workers: int = 1, cache_dir=None,
-) -> list:
+def run_fig5_dimension_sweep() -> list:
     """Figure 5: P3GM accuracy on simulated MNIST as the PCA dimension varies."""
-    specs = _preset(
-        "fig5_dimension_sweep", dimension=dimensions, epsilons=epsilon, seeds=random_state,
-        n_samples=n_samples, scale=scale,
-    )
-    return _run(specs, workers, cache_dir).rows()
+    return _rows("fig5_dimension_sweep")
 
 
-def run_fig6_composition(
-    sigmas: Optional[Sequence[float]] = None,
-    delta: Optional[float] = None,
-    epsilon_pca: Optional[float] = None,
-    sigma_em: Optional[float] = None,
-    em_iterations: Optional[int] = None,
-    n_components: Optional[int] = None,
-    sample_rate: Optional[float] = None,
-    sgd_steps: Optional[int] = None,
-    *, workers: int = 1, cache_dir=None,
-) -> list:
+def run_fig6_composition() -> list:
     """Figure 6: total epsilon under RDP vs the zCDP+MA baseline, varying sigma_s.
 
     This experiment is purely analytic (no training), exactly like the paper's.
     """
-    specs = _preset(
-        "fig6_composition", sigma=sigmas, delta=delta, epsilon_pca=epsilon_pca,
-        sigma_em=sigma_em, em_iterations=em_iterations, n_components=n_components,
-        sample_rate=sample_rate, sgd_steps=sgd_steps,
-    )
-    return _run(specs, workers, cache_dir).rows()
+    return _rows("fig6_composition")
 
 
-def run_fig7_learning_efficiency(
-    dataset_name: Optional[str] = None,
-    n_samples: Optional[int] = None,
-    epochs: Optional[int] = None,
-    scale: Optional[str] = None,
-    epsilon: Optional[float] = None,
-    random_state: Optional[int] = None,
-    *, workers: int = 1, cache_dir=None,
-) -> dict:
+def run_fig7_learning_efficiency() -> dict:
     """Figure 7: per-epoch reconstruction loss and downstream score.
 
-    Trains DP-VAE, P3GM(AE) and P3GM for ``epochs`` epochs and records, after
-    every epoch, the reconstruction loss on the training data and the
-    downstream utility of data sampled at that point (classification accuracy
-    for image data, AUROC for binary data).
+    Trains DP-VAE, P3GM(AE) and P3GM and records, after every epoch, the
+    reconstruction loss on the training data and the downstream utility of
+    data sampled at that point (classification accuracy for image data,
+    AUROC for binary data).
     """
-    specs = _preset(
-        "fig7_learning_efficiency", datasets=dataset_name, epsilons=epsilon,
-        seeds=random_state, n_samples=n_samples, scale=scale, epochs=epochs,
-    )
-    records = _run(specs, workers, cache_dir).records
-    return {record["model"]: record["result"] for record in records}
+    return {record["model"]: record["result"] for record in _records("fig7_learning_efficiency")}

@@ -16,9 +16,11 @@ package turns each table/figure into data instead of code:
 - :data:`EXPERIMENTS` (:mod:`~repro.experiments.presets`) — named specs for
   every paper table/figure plus a miniaturized ``smoke`` grid.
 
-The legacy ``repro.evaluation.run_table*/run_fig*`` entry points are thin
-wrappers over these pieces, and ``python -m repro bench`` is the CLI front
-end.
+A paper spec is the one definition of its experiment.  The
+``repro.evaluation.run_table*/run_fig*`` functions take no arguments: each
+runs its spec and shapes the rows for printing.  ``python -m repro bench
+--spec NAME`` is the CLI front end; any other size, seed or grid is an
+:class:`ExperimentSpec` run by :class:`Runner`.
 """
 
 from repro.experiments.presets import EXPERIMENTS, experiment_names, get_experiment

@@ -20,9 +20,13 @@ Figure 7          ``fig7_learning_efficiency``   per-epoch loss/utility curves
                                                  ``adult_mixed`` simulator
 ================  =============================  ==============================
 
+Each paper spec is the one definition of its experiment, at the laptop sizes
+tier-1 runs: its ``repro.evaluation`` ``run_table*/run_fig*`` function and
+``python -m repro bench --spec NAME`` both run exactly its trials.
+
 The ``smoke`` preset covers every trial kind with subsampled datasets so the
 whole grid runs in well under a minute — the nightly CI job and the
-``python -m repro bench --preset smoke`` artifact use it.  The
+``python -m repro bench --spec smoke`` artifact use it.  The
 ``mixed_smoke`` preset runs the paper's Section IV-E mixed-type protocol end
 to end: categorical/ordinal/binary columns are encoded through
 :class:`repro.transforms.TableTransformer` before synthesis, so it exercises
@@ -36,9 +40,8 @@ from repro.experiments.trials import COMPOSITION_DEFAULTS
 
 __all__ = ["EXPERIMENTS", "get_experiment", "experiment_names"]
 
-#: Default simulated sizes the paper-shaped specs use (laptop scale; the
-#: ``run_table*/run_fig*`` wrappers override them from their arguments).
-TABLE6_SIZES = {"credit": 6000, "esr": 3000, "adult": 4000, "isolet": 1500}
+#: Table VI's simulated size per dataset (laptop scale).
+TABLE6_SIZES = {"credit": 10000, "esr": 1500, "adult": 2000, "isolet": 600}
 
 _DECLARATIONS = {
     "table5_nonprivate": (
@@ -48,7 +51,7 @@ _DECLARATIONS = {
             "models": ["VAE", "PGM", "P3GM"],
             "datasets": ["credit"],
             "epsilons": [1.0],
-            "params": {"n_samples": 6000, "scale": "small", "n_synthetic_cap": 6000},
+            "params": {"n_samples": 12000, "scale": "small", "n_synthetic_cap": 6000},
         },
     ),
     "table6_private_tabular": (
@@ -74,7 +77,7 @@ _DECLARATIONS = {
             "models": ["VAE", "DP-GM", "PrivBayes", "P3GM"],
             "datasets": ["mnist", "fashion_mnist"],
             "epsilons": [1.0],
-            "params": {"n_samples": 2500, "scale": "small"},
+            "params": {"n_samples": 1000, "scale": "small"},
         },
     ),
     "fig2_sample_quality": (
@@ -84,7 +87,7 @@ _DECLARATIONS = {
             "models": ["VAE", "DP-VAE", "DP-GM", "P3GM"],
             "datasets": ["mnist"],
             "epsilons": [1.0],
-            "params": {"n_samples": 2000, "scale": "small"},
+            "params": {"n_samples": 1000, "scale": "small"},
         },
     ),
     "fig4_epsilon_sweep": (
@@ -100,7 +103,7 @@ _DECLARATIONS = {
             "kind": "utility",
             "models": ["P3GM", "DP-GM", "PrivBayes"],
             "datasets": ["credit"],
-            "epsilons": [0.1, 0.3, 1.0, 3.0, 10.0],
+            "epsilons": [0.3, 10.0],
             "params": {"n_samples": 6000, "scale": "small", "n_synthetic_cap": 6000},
         },
     ),
@@ -111,15 +114,15 @@ _DECLARATIONS = {
             "models": ["P3GM"],
             "datasets": ["mnist"],
             "epsilons": [1.0],
-            "grid": {"dimension": [2, 5, 10, 30, 100]},
-            "params": {"n_samples": 2500, "scale": "small"},
+            "grid": {"dimension": [2, 10, 40]},
+            "params": {"n_samples": 1000, "scale": "small"},
         },
     ),
     "fig6_composition": (
         {
             "name": "fig6_composition",
             "kind": "composition",
-            "grid": {"sigma": [1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0]},
+            "grid": {"sigma": [1.0, 1.5, 2.0, 3.0, 5.0, 8.0]},
             "params": dict(COMPOSITION_DEFAULTS),
         },
     ),
@@ -130,7 +133,7 @@ _DECLARATIONS = {
             "models": ["DP-VAE", "P3GM-AE", "P3GM"],
             "datasets": ["mnist"],
             "epsilons": [1.0],
-            "params": {"n_samples": 2000, "scale": "small", "epochs": 6},
+            "params": {"n_samples": 1000, "scale": "small", "epochs": 3},
         },
     ),
     # Miniaturized full grid: every trial kind, tiny subsampled datasets.

@@ -104,19 +104,19 @@ class Runner:
         :class:`~concurrent.futures.ProcessPoolExecutor` of that size.
     cache_dir:
         Directory for the content-addressed trial cache.  ``None`` disables
-        caching (every trial recomputes) — the mode the thin
-        ``run_table*/run_fig*`` wrappers use.
-    code_version:
-        String hashed into every trial's cache key; defaults to the package
-        version plus :data:`EXPERIMENT_FORMAT_VERSION`.
+        caching (every trial recomputes) — the mode the paper's
+        ``run_table*/run_fig*`` functions use.
+
+    Every trial's cache key hashes :func:`default_code_version`: the package
+    version plus :data:`EXPERIMENT_FORMAT_VERSION`.
     """
 
-    def __init__(self, workers: int = 1, cache_dir=None, code_version: Optional[str] = None):
+    def __init__(self, workers: int = 1, cache_dir=None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
         self.cache = TrialCache(cache_dir) if cache_dir is not None else None
-        self.code_version = code_version if code_version is not None else default_code_version()
+        self.code_version = default_code_version()
 
     def run(self, specs, store: Optional[ResultStore] = None, progress=None) -> RunReport:
         """Run every trial of ``specs`` (one spec or a sequence of specs).

@@ -25,10 +25,10 @@ import numpy as np
 __all__ = ["TRIAL_KINDS", "COMPOSITION_DEFAULTS", "execute_trial"]
 
 #: The paper's Figure-6 accounting configuration — the single source of truth
-#: shared by :func:`composition_trial`, the preset declarations, and the
-#: ``run_fig6_composition`` wrapper.  Specs should pass the *full* resolved
-#: parameter set (``{**COMPOSITION_DEFAULTS, ...}``) so identical cells hash
-#: to the same content address across overlapping specs.
+#: shared by :func:`composition_trial` and the preset declarations.  Specs
+#: should pass the *full* resolved parameter set (``{**COMPOSITION_DEFAULTS,
+#: ...}``) so identical cells hash to the same content address across
+#: overlapping specs.
 COMPOSITION_DEFAULTS = {
     "delta": 1e-5,
     "epsilon_pca": 0.1,

@@ -138,6 +138,10 @@ class WorkerPool:
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             listener.bind(self.address)
             listener.listen(SynthesisHTTPServer.request_queue_size)
+            # Every worker's select() wakes on a new connection; the ones that
+            # lose the accept() race must get BlockingIOError (which
+            # socketserver drops), not block in accept() past a shutdown().
+            listener.setblocking(False)
         except BaseException:
             listener.close()
             raise

@@ -41,12 +41,12 @@ Examples::
         --chunk-size 8192 --seed 7 --output synthetic.csv
     python -m repro evaluate --artifact artifacts/p3gm-credit
     python -m repro bench --spec fig6_composition
-    python -m repro bench --preset smoke --workers 4 --seeds 0 1 2 \
+    python -m repro bench --spec smoke --workers 4 --seeds 0 1 2 \
         --cache-dir .bench-cache --store smoke.jsonl
     python -m repro serve --root artifacts --port 8000 --workers 8
     python -m repro obs --url http://127.0.0.1:8000
     python -m repro obs --url http://127.0.0.1:8000 --format prometheus
-    REPRO_TRACE=trace.jsonl python -m repro bench --preset smoke && \
+    REPRO_TRACE=trace.jsonl python -m repro bench --spec smoke && \
         python -m repro obs --trace trace.jsonl
 """
 
@@ -147,9 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     inspect_cmd.add_argument("--json", action="store_true", help="raw JSON output")
 
     bench = subparsers.add_parser("bench", help="run a named experiment spec")
-    which = bench.add_mutually_exclusive_group()
-    which.add_argument("--spec", default=None, help="experiment spec name (e.g. fig6_composition)")
-    which.add_argument("--preset", default=None, help="alias of --spec (e.g. smoke)")
+    bench.add_argument("--spec", default=None, help="experiment spec name (e.g. fig6_composition)")
     bench.add_argument("--list", action="store_true", help="list registered specs and exit")
     bench.add_argument("--workers", type=int, default=1, help="process-pool size (1 = serial)")
     bench.add_argument("--seeds", type=int, nargs="+", default=None,
@@ -551,9 +549,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             specs = get_experiment(name)
             print(f"{name:<26} {len(expand_specs(specs))} trials")
         return 0
-    name = args.spec or args.preset
+    name = args.spec
     if name is None:
-        print("error: pass --spec NAME, --preset NAME, or --list", file=sys.stderr)
+        print("error: pass --spec NAME or --list", file=sys.stderr)
         return 2
     specs = get_experiment(name)
     if args.seeds is not None:

@@ -15,7 +15,11 @@ from repro.engine import (
     restore_trainer_state,
     save_checkpoint,
 )
-from repro.engine.checkpoint import CHECKPOINT_FORMAT_VERSION, CheckpointableMixin
+from repro.engine.checkpoint import (
+    CHECKPOINT_FORMAT_VERSION,
+    KEEP_CHECKPOINTS,
+    CheckpointableMixin,
+)
 from repro.models import VAE
 
 
@@ -209,17 +213,18 @@ class TestCheckpointCallback:
         model, trainer, _, loss = make_training_setup(
             toy_unlabeled_data,
             epochs=6,
-            callbacks=[HistoryLogger(), CheckpointCallback(tmp_path, every=1, keep=2)],
+            callbacks=[HistoryLogger(), CheckpointCallback(tmp_path, every=1)],
         )
         trainer.fit(len(toy_unlabeled_data), 6, loss)
         kept = sorted(p.name for p in tmp_path.iterdir())
-        assert kept == ["epoch-000005", "epoch-000006"]
+        assert len(kept) == KEEP_CHECKPOINTS == 3
+        assert kept == ["epoch-000004", "epoch-000005", "epoch-000006"]
 
     def test_every_skips_intermediate_epochs(self, tmp_path, toy_unlabeled_data):
         model, trainer, _, loss = make_training_setup(
             toy_unlabeled_data,
             epochs=5,
-            callbacks=[CheckpointCallback(tmp_path, every=2, keep=None)],
+            callbacks=[CheckpointCallback(tmp_path, every=2)],
         )
         trainer.fit(len(toy_unlabeled_data), 5, loss)
         kept = sorted(p.name for p in tmp_path.iterdir())
@@ -228,8 +233,6 @@ class TestCheckpointCallback:
     def test_invalid_arguments(self, tmp_path):
         with pytest.raises(ValueError):
             CheckpointCallback(tmp_path, every=0)
-        with pytest.raises(ValueError):
-            CheckpointCallback(tmp_path, keep=0)
 
 
 class TestResumeBitIdentity:

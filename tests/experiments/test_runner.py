@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from repro.experiments import ExperimentSpec, ResultStore, Runner, TrialCache
+from repro.experiments import (
+    EXPERIMENT_FORMAT_VERSION,
+    ExperimentSpec,
+    ResultStore,
+    Runner,
+    TrialCache,
+)
+from repro.experiments import runner as runner_module
 
 
 def composition_spec(sigmas=(1.0, 2.0, 3.0), name="comp"):
@@ -51,10 +58,11 @@ def test_cache_is_shared_across_experiment_names(tmp_path):
     assert all(record["experiment"] == "exp-b" for record in report.records)
 
 
-def test_code_version_invalidates_cache(tmp_path):
+def test_format_version_bump_invalidates_cache(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
-    Runner(cache_dir=cache, code_version="v1").run(composition_spec())
-    rerun = Runner(cache_dir=cache, code_version="v2").run(composition_spec())
+    Runner(cache_dir=cache).run(composition_spec())
+    monkeypatch.setattr(runner_module, "EXPERIMENT_FORMAT_VERSION", EXPERIMENT_FORMAT_VERSION + 1)
+    rerun = Runner(cache_dir=cache).run(composition_spec())
     assert rerun.executed == 3 and rerun.cached == 0
 
 

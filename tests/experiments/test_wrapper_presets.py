@@ -1,17 +1,20 @@
 """The paper wrappers are built from their presets and cannot drift from them.
 
-Called with no arguments, each ``run_table*/run_fig*`` wrapper must hand the
-runner exactly the trials of its named preset; an argument overrides only the
-axis or param it names.
+Each ``run_table*/run_fig*`` wrapper must hand the runner exactly the trials
+of its named preset, and shape the records the runner returns into the rows
+the benchmark harness prints.  ``repro bench --spec NAME --seeds`` — the path
+that re-runs a preset over other replicate seeds — must change the seed of
+every trial and nothing else.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
 
 from repro.evaluation import experiments as experiments_module
-from repro.experiments import Runner, expand_specs, get_experiment
-from repro.experiments.presets import TABLE6_SIZES
+from repro.experiments import RunReport, Runner, expand_specs, experiment_names, get_experiment
+from repro.serving.cli import main
 
 WRAPPERS = {
     "table5_nonprivate": experiments_module.run_table5_nonprivate_comparison,
@@ -24,24 +27,44 @@ WRAPPERS = {
     "fig7_learning_efficiency": experiments_module.run_fig7_learning_efficiency,
 }
 
-#: Every wrapper but the analytic fig6 takes a ``random_state`` seed.
-SEEDED = sorted(name for name in WRAPPERS if name != "fig6_composition")
-
 
 class Captured(Exception):
     """Carries the specs a wrapper handed to the runner, instead of running them."""
 
 
-def captured_trials(monkeypatch, name, **kwargs):
-    """The trials wrapper ``name`` would run for ``kwargs``, without running them."""
+def captured_trials(monkeypatch, name):
+    """The trials wrapper ``name`` would run, without running them."""
 
     def capture(runner, specs, **run_kwargs):
         raise Captured(specs)
 
     monkeypatch.setattr(Runner, "run", capture)
     with pytest.raises(Captured) as caught:
-        WRAPPERS[name](**kwargs)
+        WRAPPERS[name]()
     return expand_specs(caught.value.args[0])
+
+
+def fake_run(monkeypatch):
+    """Replace ``Runner.run`` by one that executes no trial.
+
+    The record of the trial at position ``i`` of the expanded specs has the
+    result ``{"trial": i}``.  The specs of every call are appended to the
+    returned list.
+    """
+    calls = []
+
+    def run(runner, specs, store=None, progress=None):
+        calls.append(specs)
+        records = [
+            {"key": trial.key(), **trial.to_dict(), "result": {"trial": index}}
+            for index, trial in enumerate(expand_specs(specs))
+        ]
+        if store is not None:
+            store.write(records)
+        return RunReport(records=records, executed=len(records))
+
+    monkeypatch.setattr(Runner, "run", run)
+    return calls
 
 
 @pytest.mark.parametrize("name", sorted(WRAPPERS))
@@ -49,116 +72,56 @@ def test_wrapper_defaults_expand_to_the_preset(name, monkeypatch):
     assert captured_trials(monkeypatch, name) == expand_specs(get_experiment(name))
 
 
-@pytest.mark.parametrize("name", SEEDED)
-def test_wrapper_seed_overrides_only_the_seed_axis(name, monkeypatch):
-    expected = [replace(trial, seed=7) for trial in expand_specs(get_experiment(name))]
-    assert captured_trials(monkeypatch, name, random_state=7) == expected
+def rows(*indices):
+    return [{"trial": index} for index in indices]
 
 
-def test_epsilon_override_leaves_the_original_block_without_one(monkeypatch):
-    # Table VI's "original" reference rows declare no epsilon axis; an
-    # epsilon argument must reach the synthesizer trials only.
+#: What each wrapper prints for the fake records of :func:`fake_run`.
+SHAPED = {
+    "table5_nonprivate": rows(0, 1, 2),
+    # Per dataset: its three synthesizer rows (trials 0-11, three per
+    # dataset), then its "original" reference row (trials 12-15).
+    "table6_private_tabular": rows(0, 1, 2, 12, 3, 4, 5, 13, 6, 7, 8, 14, 9, 10, 11, 15),
+    "table7_images": rows(*range(8)),
+    "fig2_sample_quality": rows(*range(4)),
+    # The non-private reference (trial 0) is repeated at each swept epsilon,
+    # a flat line; the sweep's rows follow, labelled with their own epsilon.
+    "fig4_epsilon_sweep": [
+        {"epsilon": 0.3, "trial": 0},
+        {"epsilon": 10.0, "trial": 0},
+        *({"epsilon": 0.3, "trial": index} for index in (1, 2, 3)),
+        *({"epsilon": 10.0, "trial": index} for index in (4, 5, 6)),
+    ],
+    "fig5_dimension_sweep": rows(0, 1, 2),
+    "fig6_composition": rows(*range(6)),
+    "fig7_learning_efficiency": {
+        "DP-VAE": {"trial": 0},
+        "P3GM-AE": {"trial": 1},
+        "P3GM": {"trial": 2},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRAPPERS))
+def test_wrapper_shapes_the_records_of_its_preset(name, monkeypatch):
+    calls = fake_run(monkeypatch)
+    produced = WRAPPERS[name]()
+    assert len(calls) == 1
+    assert produced == SHAPED[name]
+    if isinstance(produced, dict):
+        assert list(produced) == list(SHAPED[name])
+
+
+@pytest.mark.parametrize("name", experiment_names())
+def test_bench_seeds_replace_only_the_seed_axis(name, monkeypatch, tmp_path, capsys):
+    calls = fake_run(monkeypatch)
+    output = tmp_path / "bench.json"
+    assert main(["bench", "--spec", name, "--seeds", "7", "8", "--output", str(output)]) == 0
+    # Replicates are the innermost axis: each preset trial at seed 7, then 8.
     expected = [
-        replace(trial, epsilon=3.0) if trial.kind == "utility" else trial
-        for trial in expand_specs(get_experiment("table6_private_tabular"))
+        replace(trial, seed=seed)
+        for trial in expand_specs(get_experiment(name))
+        for seed in (7, 8)
     ]
-    assert any(trial.epsilon is None for trial in expected)
-    trials = captured_trials(monkeypatch, "table6_private_tabular", epsilon=3.0)
-    assert trials == expected
-
-
-def test_sigma_override_replaces_the_composition_grid(monkeypatch):
-    expected = expand_specs(
-        tuple(
-            replace(spec, grid={"sigma": (2.0, 4.0)})
-            for spec in get_experiment("fig6_composition")
-        )
-    )
-    trials = captured_trials(monkeypatch, "fig6_composition", sigmas=[2.0, 4.0])
-    assert trials == expected
-    assert [trial.params["sigma"] for trial in trials] == [2.0, 4.0]
-
-
-PARAM_OVERRIDES = [
-    pytest.param("table5_nonprivate", {"n_samples": 300}, "n_samples", 300, id="table5-n_samples"),
-    pytest.param("table5_nonprivate", {"scale": "paper"}, "scale", "paper", id="table5-scale"),
-    pytest.param(
-        "table6_private_tabular", {"n_samples": {"esr": 120}},
-        "sizes", {**TABLE6_SIZES, "esr": 120}, id="table6-n_samples",
-    ),
-    pytest.param("table6_private_tabular", {"scale": "paper"}, "scale", "paper", id="table6-scale"),
-    pytest.param("table7_images", {"n_samples": 500}, "n_samples", 500, id="table7-n_samples"),
-    pytest.param("fig2_sample_quality", {"scale": "paper"}, "scale", "paper", id="fig2-scale"),
-    pytest.param("fig4_epsilon_sweep", {"n_samples": 700}, "n_samples", 700, id="fig4-n_samples"),
-    pytest.param("fig5_dimension_sweep", {"n_samples": 900}, "n_samples", 900, id="fig5-n_samples"),
-    pytest.param("fig6_composition", {"delta": 1e-6}, "delta", 1e-6, id="fig6-delta"),
-    pytest.param("fig6_composition", {"sgd_steps": 100}, "sgd_steps", 100, id="fig6-sgd_steps"),
-    pytest.param("fig7_learning_efficiency", {"epochs": 3}, "epochs", 3, id="fig7-epochs"),
-]
-
-
-@pytest.mark.parametrize("name, kwargs, param, value", PARAM_OVERRIDES)
-def test_argument_sets_only_its_trial_param(name, kwargs, param, value, monkeypatch):
-    preset = expand_specs(get_experiment(name))
-    assert all(trial.params[param] != value for trial in preset)
-    expected = [replace(trial, params={**trial.params, param: value}) for trial in preset]
-    assert captured_trials(monkeypatch, name, **kwargs) == expected
-
-
-def keep(predicate):
-    """The preset trials that ``predicate`` accepts, in preset order."""
-    return lambda trials: [trial for trial in trials if predicate(trial)]
-
-
-def set_fields(**fields):
-    """The preset trials with ``fields`` replaced on every one."""
-    return lambda trials: [replace(trial, **fields) for trial in trials]
-
-
-AXIS_OVERRIDES = [
-    pytest.param(
-        "table5_nonprivate", {"epsilon": 3.0}, set_fields(epsilon=3.0), id="table5-epsilon",
-    ),
-    pytest.param(
-        "table6_private_tabular", {"datasets": ["credit", "adult"]},
-        keep(lambda trial: trial.dataset in ("credit", "adult")), id="table6-datasets",
-    ),
-    pytest.param(
-        "table7_images", {"datasets": ["fashion_mnist"]},
-        keep(lambda trial: trial.dataset == "fashion_mnist"), id="table7-datasets",
-    ),
-    pytest.param(
-        "fig2_sample_quality", {"models": ["VAE", "P3GM"]},
-        keep(lambda trial: trial.model in ("VAE", "P3GM")), id="fig2-models",
-    ),
-    # fig4's non-private PGM reference block keeps its one trial whatever
-    # epsilons or models the sweep is narrowed to.
-    pytest.param(
-        "fig4_epsilon_sweep", {"epsilons": [0.3, 3.0]},
-        keep(lambda trial: trial.epsilon in (None, 0.3, 3.0)), id="fig4-epsilons",
-    ),
-    pytest.param(
-        "fig4_epsilon_sweep", {"models": ["DP-GM"]},
-        keep(lambda trial: trial.model in ("PGM", "DP-GM")), id="fig4-models",
-    ),
-    pytest.param(
-        "fig4_epsilon_sweep", {"include_nonprivate_reference": False},
-        keep(lambda trial: trial.epsilon is not None), id="fig4-no-reference",
-    ),
-    pytest.param(
-        "fig5_dimension_sweep", {"dimensions": [5, 30]},
-        keep(lambda trial: trial.params["dimension"] in (5, 30)), id="fig5-dimensions",
-    ),
-    pytest.param(
-        "fig7_learning_efficiency", {"dataset_name": "credit"},
-        set_fields(dataset="credit"), id="fig7-dataset_name",
-    ),
-]
-
-
-@pytest.mark.parametrize("name, kwargs, expect", AXIS_OVERRIDES)
-def test_axis_argument_reshapes_only_its_axis(name, kwargs, expect, monkeypatch):
-    preset = expand_specs(get_experiment(name))
-    expected = expect(preset)
-    assert expected and expected != preset
-    assert captured_trials(monkeypatch, name, **kwargs) == expected
+    assert [expand_specs(specs) for specs in calls] == [expected]
+    assert json.loads(output.read_text())["trials"] == len(expected)

@@ -2,31 +2,83 @@
 
 ``golden_values.json`` holds the exact outputs of the original hand-rolled
 ``run_table*/run_fig*`` functions (captured at fixed seeds on miniature
-configurations *before* they were re-expressed on the experiment runner).
-Every wrapper must keep reproducing those numbers bit-for-bit — the refactor
-is a pure re-plumbing, not a behaviour change.  ``table7`` additionally runs
-under a 2-worker pool, proving pool execution equals the legacy serial loop.
+configurations *before* they were re-expressed on the experiment runner),
+with the arguments each was called with (``kwargs``).  The wrappers now run
+their presets and take no arguments, so each case builds the grids those
+arguments selected and puts them in place of the preset: the wrapper's
+running and shaping must keep reproducing the recorded numbers bit for bit.
+``table7`` additionally runs under a 2-worker pool, proving pool execution
+equals the legacy serial loop.
 """
 
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.evaluation import experiments as experiments_module
+from repro.experiments import EXPERIMENTS, ExperimentSpec, Runner
+from repro.experiments.trials import COMPOSITION_DEFAULTS
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_values.json").read_text())
 
 WRAPPERS = {
-    "table5": experiments_module.run_table5_nonprivate_comparison,
-    "table6": experiments_module.run_table6_private_tabular,
-    "table7": experiments_module.run_table7_image_classification,
-    "fig2": experiments_module.run_fig2_sample_quality,
-    "fig4": experiments_module.run_fig4_epsilon_sweep,
-    "fig5": experiments_module.run_fig5_dimension_sweep,
-    "fig6": experiments_module.run_fig6_composition,
-    "fig7": experiments_module.run_fig7_learning_efficiency,
+    "table5": ("table5_nonprivate", experiments_module.run_table5_nonprivate_comparison),
+    "table6": ("table6_private_tabular", experiments_module.run_table6_private_tabular),
+    "table7": ("table7_images", experiments_module.run_table7_image_classification),
+    "fig2": ("fig2_sample_quality", experiments_module.run_fig2_sample_quality),
+    "fig4": ("fig4_epsilon_sweep", experiments_module.run_fig4_epsilon_sweep),
+    "fig5": ("fig5_dimension_sweep", experiments_module.run_fig5_dimension_sweep),
+    "fig6": ("fig6_composition", experiments_module.run_fig6_composition),
+    "fig7": ("fig7_learning_efficiency", experiments_module.run_fig7_learning_efficiency),
 }
+
+
+def golden_blocks(name, kwargs):
+    """The grid declarations ``kwargs`` selected when the values were recorded."""
+    if name == "fig6":
+        # Recorded with no arguments: the seven-sigma grid of that time.
+        return [{
+            "kind": "composition",
+            "grid": {"sigma": [1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0]},
+            "params": dict(COMPOSITION_DEFAULTS),
+        }]
+    seeded = {"seeds": [kwargs["random_state"]], "epsilons": [kwargs.get("epsilon")]}
+    sized = {"n_samples": kwargs["n_samples"], "scale": kwargs["scale"]}
+    capped = {**sized, "n_synthetic_cap": 6000}
+    if name == "table5":
+        return [{**seeded, "kind": "utility", "models": ["VAE", "PGM", "P3GM"],
+                 "datasets": ["credit"], "params": capped}]
+    if name == "table6":
+        sizes = {"sizes": kwargs["n_samples"], "scale": kwargs["scale"]}
+        return [
+            {**seeded, "kind": "utility", "models": ["PrivBayes", "DP-GM", "P3GM"],
+             "datasets": kwargs["datasets"], "params": {**sizes, "n_synthetic_cap": 6000}},
+            {"seeds": seeded["seeds"], "kind": "original", "datasets": kwargs["datasets"],
+             "params": sizes},
+        ]
+    if name == "table7":
+        return [{**seeded, "kind": "utility", "models": ["VAE", "DP-GM", "PrivBayes", "P3GM"],
+                 "datasets": kwargs["datasets"], "params": sized}]
+    if name == "fig2":
+        return [{**seeded, "kind": "sample_quality", "models": kwargs["models"],
+                 "datasets": ["mnist"], "params": sized}]
+    if name == "fig4":
+        assert kwargs["include_nonprivate_reference"]
+        return [
+            {"seeds": seeded["seeds"], "kind": "utility", "models": ["PGM"],
+             "datasets": ["credit"], "params": capped},
+            {"seeds": seeded["seeds"], "kind": "utility", "models": kwargs["models"],
+             "datasets": ["credit"], "epsilons": kwargs["epsilons"], "params": capped},
+        ]
+    if name == "fig5":
+        return [{**seeded, "kind": "p3gm_dimension", "models": ["P3GM"], "datasets": ["mnist"],
+                 "grid": {"dimension": kwargs["dimensions"]}, "params": sized}]
+    assert name == "fig7"
+    return [{**seeded, "kind": "learning_curve", "models": ["DP-VAE", "P3GM-AE", "P3GM"],
+             "datasets": [kwargs["dataset_name"]],
+             "params": {**sized, "epochs": kwargs["epochs"]}}]
 
 
 def _normalize(value):
@@ -44,14 +96,17 @@ def _normalize(value):
         for name in sorted(GOLDEN)
     ],
 )
-def test_wrapper_reproduces_pre_refactor_metrics(name):
+def test_wrapper_reproduces_pre_refactor_metrics(name, monkeypatch):
     entry = GOLDEN[name]
-    kwargs = dict(entry["kwargs"])
-    if name == "table6":
-        kwargs["n_samples"] = {k: int(v) for k, v in kwargs["n_samples"].items()}
+    preset, wrapper = WRAPPERS[name]
+    specs = tuple(
+        ExperimentSpec.from_dict({"name": preset, **block})
+        for block in golden_blocks(name, entry["kwargs"])
+    )
+    monkeypatch.setitem(EXPERIMENTS, preset, specs)
     if name == "table7":
         # The heaviest golden case doubles as the pool-equivalence check.
-        kwargs["workers"] = 2
-    produced = WRAPPERS[name](**kwargs)
+        monkeypatch.setattr(experiments_module, "Runner", functools.partial(Runner, workers=2))
+    produced = wrapper()
     expected = entry["curves"] if name == "fig7" else entry["rows"]
     assert _normalize(produced) == expected

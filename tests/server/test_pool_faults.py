@@ -7,7 +7,8 @@ Four guarantees that make the pool operable:
 - the supervisor reaps and respawns the dead worker, so the pool's capacity
   recovers and the next request succeeds;
 - SIGTERM is a drain, not a kill: a worker told to exit finishes the stream
-  it is serving — every row arrives — before the process goes away;
+  it is serving — every row arrives — before the process goes away, and an
+  idle pool stops at once;
 - a pool that cannot bind its port raises and leaves no socket open.
 """
 
@@ -155,6 +156,24 @@ class TestGracefulDrain:
             assert "error" not in result, f"stream broke during drain: {result}"
             assert len(result["body"].decode("utf-8").splitlines()) == self.N_ROWS
             assert pool.worker_pids == []
+
+    def test_pool_stop_graceful_after_traffic_returns_promptly(
+        self, numeric_artifact_root
+    ):
+        # A connection wakes every worker's select(); a worker that loses the
+        # accept() race must not block in accept() and sit out the drain
+        # timeout (DRAIN_TIMEOUT + 5 s, then SIGKILL) on a graceful stop.
+        # Whether a worker loses that race is down to scheduling (3 pools in
+        # 6 on two idle cores with a blocking listener), so four pools get
+        # the chance.
+        for attempt in range(4):
+            with serve_pool(numeric_artifact_root, processes=2) as (pool, client, _):
+                assert len(client.sample("vae", 5, seed=1)) == 5
+                started = time.monotonic()
+                pool.stop(graceful=True)
+                elapsed = time.monotonic() - started
+                assert pool.worker_pids == []
+            assert elapsed < 5.0, f"pool {attempt}: graceful stop took {elapsed:.1f}s"
 
 
 def test_start_on_a_taken_port_closes_its_socket():

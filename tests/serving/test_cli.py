@@ -382,9 +382,9 @@ class TestBench:
         assert "epsilon_rdp" in out and "mean±std" in out
         summary = json.loads((tmp_path / "BENCH_experiments.json").read_text())
         assert summary["experiment"] == "fig6_composition"
-        assert summary["executed"] == 7 and summary["cached"] == 0
+        assert summary["executed"] == 6 and summary["cached"] == 0
         store_lines = (tmp_path / "BENCH_experiments.jsonl").read_text().strip().splitlines()
-        assert len(store_lines) == 7
+        assert len(store_lines) == 6
         # A rerun over the same cache executes nothing.
         assert main(
             [
@@ -394,7 +394,7 @@ class TestBench:
             ]
         ) == 0
         summary = json.loads((tmp_path / "BENCH_experiments.json").read_text())
-        assert summary["executed"] == 0 and summary["cached"] == 7
+        assert summary["executed"] == 0 and summary["cached"] == 6
 
     def test_seeds_override_expands_replicates(self, tmp_path, capsys):
         code = main(
@@ -406,7 +406,7 @@ class TestBench:
         assert code == 0
         summary = json.loads((tmp_path / "b.json").read_text())
         # Composition trials ignore the seed analytically but still replicate.
-        assert summary["trials"] == 14
+        assert summary["trials"] == 12
         assert all(row["n_seeds"] == 2 for row in summary["aggregate"])
 
     def test_unknown_spec_exits_nonzero(self, tmp_path, capsys):

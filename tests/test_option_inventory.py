@@ -4,9 +4,10 @@ Every environment variable is an option: it doubles the configurations the
 tests and benchmarks must cover.  So is every constructor parameter of a
 model, of the classifiers the utility protocol trains, of the mixtures the
 phased models fit and of the optimizer they train with, and every parameter
-of the release tier's service, servers, pool and request parsers.  These
-tests pin all of them, so adding a switch to ``src/repro`` takes a
-deliberate edit here.
+of the release tier's service, servers, pool and request parsers, of the
+experiment runner, of the paper's table/figure functions and of training
+checkpoints.  These tests pin all of them, so adding a switch to
+``src/repro`` or to the benchmark harness takes a deliberate edit here.
 """
 
 import ast
@@ -16,6 +17,9 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.engine.checkpoint import CheckpointableMixin, CheckpointCallback
+from repro.evaluation import experiments as paper_experiments
+from repro.experiments import Runner
 from repro.ml import (
     AdaBoostClassifier,
     GradientBoostingClassifier,
@@ -35,6 +39,7 @@ from repro.serving.registry import MODEL_REGISTRY
 from repro.transforms import TableSchema, read_csv
 
 PACKAGE_ROOT = Path(repro.__file__).parent
+BENCHMARKS_ROOT = Path(__file__).resolve().parents[1] / "benchmarks"
 
 #: The environment variables ``src/repro`` reads, and why each exists.
 EXPECTED_ENV_VARS = {
@@ -77,12 +82,23 @@ def env_reads(tree) -> set:
     return keys
 
 
-def test_environment_variables_read_by_the_package_are_pinned():
+def env_reads_in(root, pattern) -> dict:
+    """Each key read by the files ``root.glob(pattern)``, with its readers."""
     found = {}
-    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+    for path in sorted(root.glob(pattern)):
         for key in env_reads(ast.parse(path.read_text(), filename=str(path))):
-            found.setdefault(key, []).append(str(path.relative_to(PACKAGE_ROOT)))
+            found.setdefault(key, []).append(str(path.relative_to(root)))
+    return found
+
+
+def test_environment_variables_read_by_the_package_are_pinned():
+    found = env_reads_in(PACKAGE_ROOT, "**/*.py")
     assert set(found) == EXPECTED_ENV_VARS, found
+
+
+def test_the_benchmark_harness_reads_no_environment_variables():
+    # Each paper experiment has one definition, its preset: no size profile.
+    assert env_reads_in(BENCHMARKS_ROOT, "*.py") == {}
 
 
 def test_the_inventory_sees_every_read_form():
@@ -177,3 +193,21 @@ EXPECTED_RELEASE_TIER_PARAMETERS = {
 def test_release_tier_parameters_are_pinned(callable_):
     parameters = tuple(inspect.signature(callable_).parameters)
     assert parameters == EXPECTED_RELEASE_TIER_PARAMETERS[callable_]
+
+
+#: The experiment runner's and training checkpoints' parameters, and the
+#: paper's table/figure functions, which take none: each runs its preset.
+EXPECTED_ENTRY_POINT_PARAMETERS = {
+    Runner: ("workers", "cache_dir"),
+    CheckpointCallback: ("directory", "every"),
+    CheckpointableMixin.configure_checkpointing: ("self", "directory", "every", "resume"),
+    **{getattr(paper_experiments, name): () for name in paper_experiments.__all__},
+}
+
+
+@pytest.mark.parametrize(
+    "callable_", EXPECTED_ENTRY_POINT_PARAMETERS, ids=lambda fn: fn.__qualname__
+)
+def test_entry_point_parameters_are_pinned(callable_):
+    parameters = tuple(inspect.signature(callable_).parameters)
+    assert parameters == EXPECTED_ENTRY_POINT_PARAMETERS[callable_]
