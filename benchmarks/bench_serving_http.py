@@ -1,4 +1,4 @@
-"""HTTP serving load benchmark: process-sweep throughput, tail latency, memory.
+"""HTTP serving load benchmark: process-sweep throughput and tail latency.
 
 Drives the :mod:`repro.server` tier the way production traffic would — many
 concurrent stdlib clients streaming seeded NDJSON requests — and measures:
@@ -14,15 +14,12 @@ concurrent stdlib clients streaming seeded NDJSON requests — and measures:
   pre-fork tier.  That is 1.5x for the 2-process pool on any box with 2 or
   more cores, and 3x for the 4-process pool on 4 or more; only on a single
   core does the gate record itself as not applicable (the pool cannot beat
-  the GIL there);
-- **peak traced memory** while a client consumes one large streamed request
-  incrementally, against a one-shot in-process ``model.sample(n)`` of the
-  same size — the HTTP tier must inherit the service's bounded-chunk
-  property, not regress to materialising the request.
+  the GIL there).
 
 Writes ``benchmarks/results/BENCH_serving_http.json`` and exits non-zero if
-any request fails, if a scaling/memory gate fails, or if smoke-mode p99
-exceeds ``--p99-budget``.
+any request fails, if a scaling gate fails, or if smoke-mode p99 exceeds
+``--p99-budget``.  A streamed HTTP response's memory bound is a tier-1 test
+(``tests/server/test_http_stream_memory.py``).
 
 Usage::
 
@@ -40,7 +37,6 @@ import sys
 import tempfile
 import threading
 import time
-import tracemalloc
 from pathlib import Path
 from urllib.request import Request, urlopen
 
@@ -118,7 +114,7 @@ class ServerUnderTest:
 
 def one_request(port: int, n_rows: int, seed: int, chunk_size: int) -> tuple:
     """One streamed NDJSON request, consumed incrementally; returns
-    ``(latency_seconds, ok, bytes_received)``."""
+    ``(latency_seconds, ok, error)``."""
     body = json.dumps(
         {"n_samples": n_rows, "seed": seed, "chunk_size": chunk_size}
     ).encode()
@@ -128,22 +124,18 @@ def one_request(port: int, n_rows: int, seed: int, chunk_size: int) -> tuple:
         headers={"Content-Type": "application/json"},
     )
     started = time.perf_counter()
-    received = 0
     error = None
     try:
         with urlopen(request, timeout=120) as response:
             ok = response.status == 200
             if not ok:
                 error = f"status {response.status}"
-            while True:
-                piece = response.read(1 << 16)
-                if not piece:
-                    break
-                received += len(piece)
+            while response.read(1 << 16):
+                pass
     except Exception as exc:
         ok = False
         error = f"{type(exc).__name__}: {exc}"
-    return time.perf_counter() - started, ok, received, error
+    return time.perf_counter() - started, ok, error
 
 
 def run_load(port: int, concurrency: int, requests_per_client: int,
@@ -158,7 +150,7 @@ def run_load(port: int, concurrency: int, requests_per_client: int,
     def client(index: int) -> None:
         for request_index in range(requests_per_client):
             seed = index * 1000 + request_index
-            latency, ok, _, error = one_request(port, n_rows, seed, chunk_size)
+            latency, ok, error = one_request(port, n_rows, seed, chunk_size)
             with lock:
                 latencies.append(latency)
                 if not ok:
@@ -185,40 +177,6 @@ def run_load(port: int, concurrency: int, requests_per_client: int,
         "p50_latency_ms": round(float(np.percentile(latencies, 50)) * 1000, 2),
         "p99_latency_ms": round(float(np.percentile(latencies, 99)) * 1000, 2),
         "max_latency_ms": round(max(latencies) * 1000, 2),
-    }
-
-
-def measure_stream_memory(port: int, n_rows: int, chunk_size: int) -> dict:
-    """Peak traced memory while consuming one large streamed request."""
-    tracemalloc.start()
-    started = time.perf_counter()
-    _, ok, received, _ = one_request(port, n_rows, seed=7, chunk_size=chunk_size)
-    elapsed = time.perf_counter() - started
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return {
-        "mode": "http_stream",
-        "n_rows": n_rows,
-        "chunk_size": chunk_size,
-        "ok": ok,
-        "bytes_received": received,
-        "duration_s": round(elapsed, 3),
-        "peak_memory_mb": round(peak / 1e6, 2),
-    }
-
-
-def measure_oneshot_memory(root: Path, n_rows: int) -> dict:
-    """Peak traced memory of the materialised in-process baseline."""
-    model = SynthesisService(artifact_root=root).get(REF)
-    tracemalloc.start()
-    rows = len(model.sample(n_rows, rng=np.random.default_rng(7)))
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return {
-        "mode": "oneshot",
-        "n_rows": rows,
-        "chunk_size": None,
-        "peak_memory_mb": round(peak / 1e6, 2),
     }
 
 
@@ -276,13 +234,11 @@ def main(argv=None) -> int:
         levels = (1, 8)
         requests_per_client = {1: 8, 8: 2}
         n_rows, chunk_size = 500, 256
-        memory_rows = 20_000
         process_levels = (1, 2)
     else:
         levels = (1, 8, 32)
         requests_per_client = {1: 40, 8: 10, 32: 4}
         n_rows, chunk_size = 2000, 512
-        memory_rows = 200_000
         process_levels = (1, 2, 4)
     if args.processes is not None:
         process_levels = tuple(
@@ -313,27 +269,16 @@ def main(argv=None) -> int:
                           f"failures={result['failures']}")
                     for reason in result["failure_reasons"]:
                         print(f"      failure: {reason}")
-                if processes == 1:
-                    stream_memory = measure_stream_memory(
-                        under_test.port, memory_rows, chunk_size
-                    )
             finally:
                 under_test.stop()
             sweep.append({"processes": processes, "load": load})
-        oneshot_memory = measure_oneshot_memory(root, memory_rows)
-        print(f"  memory: http stream of {memory_rows} rows peaks at "
-              f"{stream_memory['peak_memory_mb']} MB vs one-shot "
-              f"{oneshot_memory['peak_memory_mb']} MB")
 
     failures = sum(
         result["failures"] for entry in sweep for result in entry["load"]
     )
     scaling = scaling_gate(sweep, cores)
     gates = {
-        "all_requests_ok": failures == 0 and stream_memory["ok"],
-        "stream_memory_below_half_oneshot": (
-            stream_memory["peak_memory_mb"] < oneshot_memory["peak_memory_mb"] / 2
-        ),
+        "all_requests_ok": failures == 0,
         "multi_process_scaling": scaling["passed"],
     }
     if args.smoke:
@@ -349,7 +294,6 @@ def main(argv=None) -> int:
         "cpu_count": cores,
         "sweep": sweep,
         "scaling": scaling,
-        "memory": {"http_stream": stream_memory, "oneshot": oneshot_memory},
         "gates": gates,
     }
     if not args.smoke:

@@ -233,10 +233,9 @@ def evaluate_artifact(
     *that* transformer (not a freshly fitted one), so evaluation sees exactly
     the feature space the model was trained on.
     """
-    from repro.serving.artifacts import load_artifact, load_transformer, read_manifest
+    from repro.serving.artifacts import load_release
 
-    model = load_artifact(artifact_path)
-    manifest = read_manifest(artifact_path)
+    model, transformer, manifest = load_release(artifact_path)
     return evaluate_synthesizer(
         model,
         dataset,
@@ -245,7 +244,7 @@ def evaluate_artifact(
         n_synthetic=n_synthetic,
         fit=False,
         random_state=random_state,
-        transformer=load_transformer(artifact_path),
+        transformer=transformer,
     )
 
 

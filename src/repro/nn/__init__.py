@@ -33,7 +33,7 @@ from repro.nn.inference import (
     compile_inference,
     compiled_plan,
 )
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.optim import Adam, Optimizer
 
 __all__ = [
     "Tensor",
@@ -56,6 +56,5 @@ __all__ = [
     "Sequential",
     "MLP",
     "Optimizer",
-    "SGD",
     "Adam",
 ]

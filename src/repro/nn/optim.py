@@ -1,9 +1,9 @@
 """First-order optimizers for the neural modules.
 
-``SGD`` and ``Adam`` follow the textbook update rules.  DP-SGD (the paper's
-optimizer for the decoding phase) is *not* here — it lives in
-:mod:`repro.privacy.dp_sgd` because it needs per-example gradients and a
-privacy accountant; it delegates the final descent step to these optimizers.
+``Adam`` follows the textbook update rule; every model trains with it.
+DP-SGD (the paper's optimizer for the decoding phase) is *not* here — it
+lives in :mod:`repro.privacy.dp_sgd` because it needs per-example gradients
+and a privacy accountant; it delegates the final descent step to ``Adam``.
 
 Every optimizer packs its parameters into one contiguous float64 *arena*:
 each ``Parameter.data`` becomes a reshaped view of a slice of it, in
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BLOCK", "Optimizer", "SGD", "Adam"]
+__all__ = ["BLOCK", "Optimizer", "Adam"]
 
 #: Elements per in-place update block: 256 KiB of float64, so the few
 #: buffers one block of an update touches stay in cache together.
@@ -34,7 +34,8 @@ class Optimizer:
 
     A subclass implements ``_update(index, grad)``, the in-place update of the
     arena stretch ``index`` (a slice of at most :data:`BLOCK` elements) from
-    the matching flat gradient ``grad``.
+    the matching flat gradient ``grad``, and ``state_dict``/``load_state_dict``
+    over the buffers a training checkpoint keeps.
     """
 
     def __init__(self, params):
@@ -123,23 +124,6 @@ class Optimizer:
     def _update(self, index: slice, grad: np.ndarray) -> None:
         raise NotImplementedError
 
-    def state_dict(self) -> dict:
-        """The optimizer's mutable buffers as plain numpy arrays.
-
-        Stateless optimizers return ``{}``; subclasses with moment buffers
-        override this (and :meth:`load_state_dict`) so a training
-        checkpoint can resume bit-identically.
-        """
-        return {}
-
-    def load_state_dict(self, state: dict) -> "Optimizer":
-        if state:
-            raise ValueError(
-                f"{type(self).__name__} is stateless but the checkpoint "
-                f"carries optimizer entries: {sorted(state)}"
-            )
-        return self
-
     def _check_buffer(self, key: str, value, param_index: int) -> np.ndarray:
         """Validate one restored per-parameter buffer against the live shape."""
         value = np.asarray(value, dtype=np.float64)
@@ -150,21 +134,6 @@ class Optimizer:
                 f"{param_index} expects {expected}"
             )
         return value
-
-
-class SGD(Optimizer):
-    """Plain stochastic gradient descent."""
-
-    def __init__(self, params, lr: float = 0.01):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        super().__init__(params)
-        self.lr = lr
-
-    def _update(self, index: slice, grad: np.ndarray) -> None:
-        # w - lr * g, in place.
-        step = np.multiply(grad, self.lr, out=self._work[: len(grad)])
-        np.subtract(self._values[index], step, out=self._values[index])
 
 
 class Adam(Optimizer):

@@ -21,7 +21,9 @@ that ceiling the classic Unix way:
   merges its own one entry (:func:`repro.obs.merge_snapshots`);
 - **SIGTERM drains gracefully**: the supervisor forwards it, each worker
   stops accepting, finishes its in-flight streams (bounded by
-  :data:`DRAIN_TIMEOUT`), and only then exits.  SIGKILLing a worker mid-stream
+  :data:`DRAIN_TIMEOUT`), and only then exits.  A worker whose supervisor
+  dies without one (SIGKILL, OOM kill) drains the same way, so no
+  unsupervised pool keeps the port.  SIGKILLing a worker mid-stream
   surfaces to that client as a truncated response — never a hung connection
   — and costs the pool nothing beyond the respawn.
 
@@ -161,6 +163,7 @@ class WorkerPool:
         return self._control_dir / f"worker-{index}.sock"
 
     def _fork_worker(self, index: int) -> int:
+        supervisor = os.getpid()
         pid = os.fork()
         if pid == 0:
             # Worker process: never return into the supervisor's stack.
@@ -172,6 +175,7 @@ class WorkerPool:
                     server_kwargs=self.server_kwargs,
                     control_path=self._control_path(index),
                     control_dir=self._control_dir,
+                    supervisor=supervisor,
                 )
             except BaseException:
                 traceback.print_exc(file=sys.stderr)
@@ -288,12 +292,13 @@ def _worker_main(
     server_kwargs: dict,
     control_path: Path,
     control_dir: Path,
+    supervisor: int,
 ) -> None:
     """One worker: private service + registry, shared accept, graceful drain.
 
-    Runs until SIGTERM (drain: stop accepting, finish in-flight streams,
-    exit 0) or until killed.  Never returns — every path ends in
-    ``os._exit`` via the caller's ``finally``.
+    Runs until SIGTERM or the death of its ``supervisor`` pid (drain: stop
+    accepting, finish in-flight streams, exit 0) or until killed.  Never
+    returns — every path ends in ``os._exit`` via the caller's ``finally``.
     """
     from repro.obs import get_registry, set_registry
 
@@ -342,6 +347,14 @@ def _worker_main(
     # ^C in a foreground CLI hits the whole process group; workers drain on
     # it the same way instead of dying mid-stream with a KeyboardInterrupt.
     signal.signal(signal.SIGINT, _on_signal)
+
+    def _drain_if_orphaned() -> None:
+        # serve_forever calls this once per poll interval.  A SIGKILLed or
+        # OOM-killed supervisor sends no SIGTERM; its workers are reparented.
+        if os.getppid() != supervisor:
+            _on_signal(None, None)
+
+    server.service_actions = _drain_if_orphaned
 
     serving.set()
     server.serve_forever(poll_interval=0.1)

@@ -43,6 +43,7 @@ __all__ = [
     "ARTIFACT_FORMAT_VERSION",
     "ArtifactError",
     "load_artifact",
+    "load_release",
     "load_transformer",
     "manifest_privacy",
     "read_manifest",
@@ -234,7 +235,28 @@ def load_artifact(path, expected_class=None):
         :class:`ArtifactError` instead of handing back a different model type.
     """
     path = Path(path)
+    return _model_from(path, read_manifest(path), expected_class)
+
+
+def load_transformer(path):
+    """Load the fitted preprocessing pipeline of an artifact, if it has one.
+
+    Returns a fitted :class:`repro.transforms.TableTransformer`, or ``None``
+    for artifacts released without one (including every format-version-1
+    artifact, which predates transformer persistence).
+    """
+    path = Path(path)
+    return _transformer_from(path, read_manifest(path))
+
+
+def load_release(path) -> tuple:
+    """``(model, transformer, manifest)`` of an artifact, from one manifest parse."""
+    path = Path(path)
     manifest = read_manifest(path)
+    return _model_from(path, manifest), _transformer_from(path, manifest), manifest
+
+
+def _model_from(path: Path, manifest: dict, expected_class=None):
     class_name = manifest["model_class"]
     if expected_class is not None:
         expected_name = (
@@ -265,17 +287,9 @@ def load_artifact(path, expected_class=None):
     return model
 
 
-def load_transformer(path):
-    """Load the fitted preprocessing pipeline of an artifact, if it has one.
-
-    Returns a fitted :class:`repro.transforms.TableTransformer`, or ``None``
-    for artifacts released without one (including every format-version-1
-    artifact, which predates transformer persistence).
-    """
+def _transformer_from(path: Path, manifest: dict):
     from repro.transforms import TableTransformer
 
-    path = Path(path)
-    manifest = read_manifest(path)
     config = manifest.get("transformer")
     if config is None:
         return None

@@ -35,8 +35,7 @@ from repro.obs import get_registry
 from repro.serving.artifacts import (
     MANIFEST_FILENAME,
     ArtifactError,
-    load_artifact,
-    load_transformer,
+    load_release,
     manifest_privacy,
     read_manifest,
 )
@@ -180,7 +179,7 @@ class SynthesisService:
             return future.result()
         try:
             load_started = time.perf_counter()
-            entry = _Entry(load_artifact(key), load_transformer(key))
+            entry = _Entry(*load_release(key)[:2])
             self._load_seconds.observe(time.perf_counter() - load_started)
         except BaseException as error:
             with self._lock:

@@ -13,8 +13,8 @@ Guarantees:
   categorical/ordinal/binary columns and within float tolerance on numeric
   ones.
 - **Vectorisation** — all work is per-column numpy operations; there are no
-  Python-level per-row loops, so a million rows transform in well under a
-  second (see ``benchmarks/bench_transforms.py``).
+  Python-level per-row loops.  ``tests/transforms/test_table_transformer.py``
+  holds transform and inverse at >= 50,000 rows/s on 100,000 mixed rows.
 - **Serialisability** — ``get_config()`` (JSON-safe; includes the schema) plus
   ``state_dict()``/``load_state_dict()`` (flat numpy arrays, no object
   arrays) round-trip through the serving layer's versioned artifacts, so a

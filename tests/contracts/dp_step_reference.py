@@ -4,7 +4,7 @@ Before the flat parameter arena, one DP-SGD step (Abadi et al., 2016) was:
 clip each parameter's factored per-example gradient into a fresh clipped sum,
 concatenate the sums into one vector, add one ``Generator.normal(0, sigma*C)``
 draw of that size, divide by the expected batch size, unflatten into
-per-parameter views, and hand them to an SGD or Adam that rebinds every
+per-parameter views, and hand them to an Adam that rebinds every
 ``Parameter.data`` to a new array.  :mod:`repro.privacy.dp_sgd` and
 :mod:`repro.nn.optim` now do the same arithmetic in place over one arena;
 ``test_dp_step_reference.py`` runs both beside each other and compares bytes.
@@ -12,50 +12,35 @@ per-parameter views, and hand them to an SGD or Adam that rebinds every
 The optimizers here write the same checkpoint keys as the library's
 (``t``, ``m.{i}``, ``v.{i}``; DP-SGD's ``steps_taken``, ``rng_state`` and
 ``base.*``), so state written by one loads into the other.
+
+:class:`SeedDPSGD` is older still: the seed's step, which materialised every
+dense per-example gradient and clipped, summed and noised parameter by
+parameter.  ``tests/privacy/test_dp_sgd.py`` times the fused step against it.
 """
 
 import numpy as np
 
+from repro.privacy import per_example_clip
 from repro.privacy.clipping import per_example_scale_factors
 from repro.utils.rng import as_generator, dump_generator_state, restore_generator_state
 
 
-class ReferenceSGD:
-    """Plain SGD that rebinds ``p.data`` to ``p.data - lr * p.grad``."""
-
-    def __init__(self, params, lr=0.01):
-        self.params = list(params)
-        self.lr = lr
-
-    def apply_gradients(self, grads):
-        for p, g in zip(self.params, grads):
-            p.grad = np.asarray(g, dtype=np.float64)
-        self.step()
-
-    def step(self):
-        for p in self.params:
-            if p.grad is None:
-                continue
-            p.data = p.data - self.lr * p.grad
-
-    def state_dict(self):
-        return {}
-
-    def load_state_dict(self, state):
-        assert not state
-        return self
-
-
-class ReferenceAdam(ReferenceSGD):
+class ReferenceAdam:
     """Adam with one out-of-place moment pair per parameter."""
 
     def __init__(self, params, lr=0.001, betas=(0.9, 0.999), eps=1e-8):
-        super().__init__(params, lr)
+        self.params = list(params)
+        self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
+
+    def apply_gradients(self, grads):
+        for p, g in zip(self.params, grads):
+            p.grad = np.asarray(g, dtype=np.float64)
+        self.step()
 
     def step(self):
         self._t += 1
@@ -153,3 +138,29 @@ class ReferenceDPSGD:
         self.steps_taken = int(state["steps_taken"])
         restore_generator_state(self._rng, str(state["rng_state"]))
         return self
+
+
+class SeedDPSGD:
+    """The seed repo's DP-SGD step, kept verbatim as the benchmark baseline:
+    dense per-example gradients, per-parameter clip/sum/noise loops."""
+
+    def __init__(self, params, noise_multiplier, max_grad_norm, expected_batch_size, base_optimizer, rng):
+        self.params = list(params)
+        self.noise_multiplier = noise_multiplier
+        self.max_grad_norm = max_grad_norm
+        self.expected_batch_size = expected_batch_size
+        self.base_optimizer = base_optimizer
+        self._rng = as_generator(rng)
+
+    def step(self):
+        grad_samples = [p.grad_sample for p in self.params]  # materialises dense arrays
+        clipped = per_example_clip(grad_samples, self.max_grad_norm)
+        noise_std = self.noise_multiplier * self.max_grad_norm
+        private_grads = []
+        for g in clipped:
+            summed = g.sum(axis=0)
+            noisy = summed + self._rng.normal(0.0, noise_std, size=summed.shape)
+            private_grads.append(noisy / self.expected_batch_size)
+        self.base_optimizer.apply_gradients(private_grads)
+        for p in self.params:
+            p.zero_grad()

@@ -36,6 +36,29 @@ def test_run_produces_one_record_per_trial_in_spec_order(tmp_path):
     assert all(record["result"]["epsilon_rdp"] > 0 for record in report.records)
 
 
+def test_pooled_records_equal_serial_records():
+    # Worker processes must never perturb determinism: the analytic spec plus
+    # two trained credit trials (2,000 rows subsampled to 600), once serially
+    # and once through a two-worker pool.
+    utility = ExperimentSpec.from_dict(
+        {
+            "name": "pooled_utility",
+            "kind": "utility",
+            "models": ["P3GM", "DP-GM"],
+            "datasets": ["credit"],
+            "epsilons": [1.0],
+            "params": {
+                "n_samples": 2000, "subsample": 600, "n_synthetic_cap": 600, "scale": "small",
+            },
+        }
+    )
+    specs = [composition_spec(), utility]
+    serial = Runner().run(specs)
+    pooled = Runner(workers=2).run(specs)
+    assert serial.executed == pooled.executed == 5
+    assert pooled.records == serial.records
+
+
 def test_interrupted_sweep_resumes_from_cache(tmp_path):
     cache = tmp_path / "cache"
     # "Interrupt" after the first two sigmas...

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam
+from repro.nn import Adam
 from repro.nn.layers import Parameter
 
 
@@ -22,7 +22,7 @@ def run_steps(optimizer, n_steps, seed=1):
 
 class TestApplyGradients:
     def test_too_few_gradients_raises_with_both_lengths(self):
-        optimizer = SGD(make_params(), lr=0.1)
+        optimizer = Adam(make_params(), lr=0.1)
         with pytest.raises(ValueError, match=r"1 gradients for 2 parameters"):
             optimizer.apply_gradients([np.zeros((3, 2))])
 
@@ -37,28 +37,27 @@ class TestApplyGradients:
         # partial update instead of failing loudly.
         params = make_params()
         before = [p.data.copy() for p in params]
-        optimizer = SGD(params, lr=0.5)
+        optimizer = Adam(params, lr=0.5)
         with pytest.raises(ValueError):
             optimizer.apply_gradients([np.ones((3, 2))])
         for p, original in zip(params, before):
             np.testing.assert_array_equal(p.data, original)
 
     @pytest.mark.parametrize(
-        "make_optimizer, shapes, grad_shapes, index",
+        "shapes, grad_shapes, index",
         [
             # Unchecked, Adam would rebind the (3,) parameter to a (4, 3) one.
-            (Adam, ((2, 3), (3,)), ((2, 3), (4, 3)), 1),
-            (lambda params: SGD(params, lr=0.5), ((2, 3), (3,)), ((2, 3), (2, 3)), 1),
+            (((2, 3), (3,)), ((2, 3), (4, 3)), 1),
+            (((2, 3), (3,)), ((2, 3), (2, 3)), 1),
             # Unchecked, a (3,) gradient would broadcast across a (2, 3) weight.
-            (Adam, ((2, 3), (3,)), ((3,), (3,)), 0),
-            (lambda params: SGD(params, lr=0.5), ((2, 3), (3,)), ((3,), (3,)), 0),
+            (((2, 3), (3,)), ((3,), (3,)), 0),
         ],
     )
     def test_shape_mismatch_raises_before_anything_is_written(
-        self, make_optimizer, shapes, grad_shapes, index
+        self, shapes, grad_shapes, index
     ):
         params = make_params(shapes)
-        optimizer = make_optimizer(params)
+        optimizer = Adam(params)
         before = [p.data.copy() for p in params]
         state = optimizer.state_dict()
         message = (
@@ -87,27 +86,19 @@ class TestApplyGradients:
             np.testing.assert_array_equal(p.data, original)
 
     def test_generator_input_is_counted_correctly(self):
-        optimizer = SGD(make_params(), lr=0.1)
+        optimizer = Adam(make_params(), lr=0.1)
         with pytest.raises(ValueError, match="refusing a partial update"):
             optimizer.apply_gradients(np.zeros((3, 2)) for _ in range(1))
 
     def test_matching_gradients_apply(self):
         params = make_params()
         before = [p.data.copy() for p in params]
-        optimizer = SGD(params, lr=1.0)
+        optimizer = Adam(params, lr=1.0)
         optimizer.apply_gradients([np.ones(p.data.shape) for p in params])
         for p, view, original in zip(params, optimizer.grad_views, before):
             assert np.all(view == 1.0)
-            np.testing.assert_array_equal(p.data, original - 1.0)
-
-
-class TestSGDState:
-    def test_load_rejects_wrong_key_set(self):
-        # A velocity buffer (what momentum SGD used to serialise) is refused
-        # rather than silently dropped.
-        optimizer = SGD(make_params(), lr=0.1)
-        with pytest.raises(ValueError, match="SGD is stateless"):
-            optimizer.load_state_dict({"velocity.0": np.zeros((3, 2))})
+            # Adam's first step is lr * g / (|g| + eps).
+            np.testing.assert_array_equal(p.data, original - 1.0 / (1.0 + 1e-8))
 
 
 class TestAdamState:
@@ -164,21 +155,13 @@ class TestAdamState:
             optimizer.load_state_dict(state)
 
 
-class TestStatelessBase:
-    def test_sgd_is_stateless(self):
-        optimizer = SGD(make_params(), lr=0.1)
-        run_steps(optimizer, 2)
-        assert optimizer.state_dict() == {}
-        optimizer.load_state_dict({})
-
-
 class TestArena:
     """Parameters live in one arena; values must be written in place."""
 
     def test_parameters_are_views_of_one_arena_in_order(self):
         params = make_params(((3, 2), (2,), (4,)))
         values = [p.data.copy() for p in params]
-        optimizer = SGD(params, lr=0.1)
+        optimizer = Adam(params, lr=0.1)
         arena = params[0].data.base
         assert arena is not None and all(p.data.base is arena for p in params)
         np.testing.assert_array_equal(arena, np.concatenate([v.ravel() for v in values]))
@@ -186,15 +169,14 @@ class TestArena:
 
     def test_in_place_writes_are_stepped(self):
         params = make_params()
-        optimizer = SGD(params, lr=1.0)
+        optimizer = Adam(params, lr=1.0)
         params[1].data[...] = 5.0
         optimizer.apply_gradients([np.zeros((3, 2)), np.ones(2)])
-        np.testing.assert_array_equal(params[1].data, [4.0, 4.0])
+        np.testing.assert_array_equal(params[1].data, 5.0 - 1.0 / (1.0 + 1e-8))
 
-    @pytest.mark.parametrize("make_optimizer", [Adam, lambda params: SGD(params, lr=0.1)])
-    def test_a_rebound_parameter_is_refused(self, make_optimizer):
+    def test_a_rebound_parameter_is_refused(self):
         params = make_params()
-        optimizer = make_optimizer(params)
+        optimizer = Adam(params)
         params[0].data = params[0].data.copy()
         with pytest.raises(RuntimeError, match=r"parameter 0 \(shape \(3, 2\)\) was rebound"):
             optimizer.apply_gradients([np.ones((3, 2)), np.ones(2)])
@@ -205,7 +187,7 @@ class TestArena:
     def test_the_same_parameter_twice_is_refused(self):
         params = make_params()
         with pytest.raises(ValueError, match="more than once"):
-            SGD([params[0], params[1], params[0]])
+            Adam([params[0], params[1], params[0]])
 
     def test_step_skips_parameters_without_a_gradient(self):
         params = make_params()

@@ -1,9 +1,14 @@
 """Tests for the DP-SGD optimizer."""
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.nn import MLP, SGD, Tensor, grad_sample_mode
+from contracts.dp_step_reference import SeedDPSGD
+from repro.datasets import load_dataset
+from repro.models import DPVAE
+from repro.nn import MLP, Adam, Tensor, grad_sample_mode
 from repro.privacy import DPSGD
 
 
@@ -28,7 +33,7 @@ class TestDPSGDMechanics:
         params = list(model.parameters())
         opt = DPSGD(
             params, noise_multiplier=1.0, max_grad_norm=1.0, expected_batch_size=64,
-            base_optimizer=SGD(params),
+            base_optimizer=Adam(params),
         )
         loss = squared_error(model, X, y)
         loss.backward()
@@ -41,7 +46,7 @@ class TestDPSGDMechanics:
         params = list(model.parameters())
         opt = DPSGD(
             params, noise_multiplier=1.0, max_grad_norm=1.0, expected_batch_size=64,
-            base_optimizer=SGD(params),
+            base_optimizer=Adam(params),
         )
         with grad_sample_mode():
             squared_error(model, X, y).backward()
@@ -56,7 +61,7 @@ class TestDPSGDMechanics:
         before = [p.data.copy() for p in params]
         opt = DPSGD(
             params, noise_multiplier=0.5, max_grad_norm=1.0, expected_batch_size=64,
-            base_optimizer=SGD(params, lr=0.1), rng=0,
+            base_optimizer=Adam(params, lr=0.1), rng=0,
         )
         with grad_sample_mode():
             loss = squared_error(model, X, y)
@@ -70,7 +75,7 @@ class TestDPSGDMechanics:
         params = list(model.parameters())
         opt = DPSGD(
             params, noise_multiplier=0.5, max_grad_norm=1.0, expected_batch_size=64,
-            base_optimizer=SGD(params, lr=0.001), rng=0,
+            base_optimizer=Adam(params), rng=0,
         )
         with grad_sample_mode():
             squared_error(model, X, y).backward()
@@ -78,7 +83,8 @@ class TestDPSGDMechanics:
         assert all(p.grad_sample is None for p in opt.params)
 
     def test_noisy_gradient_close_to_clipped_mean_with_tiny_noise(self):
-        """With near-zero noise, the DP-SGD update direction equals clipped-mean SGD."""
+        """With near-zero noise, the gradient DP-SGD hands its base optimizer
+        is the clipped mean."""
         model, X, y = make_model_and_data(seed=1)
         params = list(model.parameters())
 
@@ -97,20 +103,19 @@ class TestDPSGDMechanics:
             noise_multiplier=1e-8,
             max_grad_norm=1.0,
             expected_batch_size=64,
-            base_optimizer=SGD(params, lr=1.0),
+            base_optimizer=Adam(params),
             rng=0,
         )
-        before = [p.data.copy() for p in params]
         with grad_sample_mode():
             squared_error(model, X, y).backward()
         opt.step()
-        for b, p, ref in zip(before, params, reference):
-            np.testing.assert_allclose(b - p.data, ref, atol=1e-5)
+        for applied, ref in zip(opt.base_optimizer.grad_views, reference):
+            np.testing.assert_allclose(applied, ref, atol=1e-5)
 
     def test_invalid_constructor_args(self):
         model, _, _ = make_model_and_data()
         params = list(model.parameters())
-        base = SGD(params)
+        base = Adam(params)
         with pytest.raises(ValueError):
             DPSGD([], 1.0, 1.0, 8, base_optimizer=base)
         with pytest.raises(ValueError):
@@ -131,7 +136,7 @@ class TestDPSGDMechanics:
     def test_params_must_be_the_base_optimizer_params_in_order(self, reorder):
         params = list(MLP(3, (3,), 3, rng=0).parameters())
         assert params[0].shape == params[2].shape == (3, 3)
-        base = SGD(reorder(params))
+        base = Adam(reorder(params))
         with pytest.raises(ValueError, match="base_optimizer.params"):
             DPSGD(params, 1.0, 1.0, 8, base_optimizer=base)
 
@@ -139,7 +144,7 @@ class TestDPSGDMechanics:
         params = list(MLP(3, (3,), 3, rng=0).parameters())
         twins = list(MLP(3, (3,), 3, rng=0).parameters())
         with pytest.raises(ValueError, match="same parameter objects"):
-            DPSGD(params, 1.0, 1.0, 8, base_optimizer=SGD(twins))
+            DPSGD(params, 1.0, 1.0, 8, base_optimizer=Adam(twins))
 
     def test_base_optimizer_is_required(self):
         # There is no default base: the models always hand DP-SGD their Adam.
@@ -150,8 +155,6 @@ class TestDPSGDMechanics:
 
 class TestDPSGDState:
     def make_optimizer(self, params, rng=0):
-        from repro.nn import Adam
-
         return DPSGD(
             params,
             noise_multiplier=1.2,
@@ -235,7 +238,7 @@ class TestDPSGDNoiseStep:
             noise_multiplier=1.3,
             max_grad_norm=0.7,
             expected_batch_size=16,
-            base_optimizer=SGD(params, lr=0.5),
+            base_optimizer=Adam(params, lr=0.5),
             rng=rng,
         )
 
@@ -284,7 +287,7 @@ class TestDPSGDLearning:
             noise_multiplier=0.5,
             max_grad_norm=1.0,
             expected_batch_size=256,
-            base_optimizer=SGD(params, lr=0.5),
+            base_optimizer=Adam(params, lr=0.05),
             rng=3,
         )
         losses = []
@@ -295,3 +298,55 @@ class TestDPSGDLearning:
             losses.append(loss.item() / len(X))
             opt.step()
         assert np.mean(losses[-10:]) < 0.5 * np.mean(losses[:10])
+
+
+class TestFusedStepSpeed:
+    """The fused step against the seed's per-parameter loop (``SeedDPSGD``),
+    which materialises every dense per-example gradient."""
+
+    #: The paper's credit configuration (Table IV): latent 10, width-1000
+    #: networks, noise multiplier 1.5; laptop-scale row count.
+    CONFIG = dict(latent_dim=10, hidden=(1000,), batch_size=200, noise_multiplier=1.5)
+    STEPS = 10
+    MIN_SPEEDUP = 1.5
+
+    def steps_per_second(self, step_cls, seed=0) -> float:
+        """Time ``STEPS`` training steps (forward, backward, DP step) after two
+        warm-up steps."""
+        dataset = load_dataset("credit", n_samples=2000, random_state=seed)
+        model = DPVAE(**self.CONFIG, epsilon=10.0, random_state=seed)
+        data = model._attach_labels(dataset.X_train, dataset.y_train)
+        model.n_input_features_ = data.shape[1]
+        model._build(model.n_input_features_)
+        params = list(model._parameters())
+        optimizer = step_cls(
+            params,
+            noise_multiplier=self.CONFIG["noise_multiplier"],
+            max_grad_norm=1.0,
+            expected_batch_size=self.CONFIG["batch_size"],
+            base_optimizer=Adam(params, lr=model.learning_rate),
+            rng=seed,
+        )
+        rng = np.random.default_rng(seed)
+
+        def one_step():
+            batch = data[rng.choice(len(data), size=self.CONFIG["batch_size"], replace=False)]
+            with grad_sample_mode():
+                reconstruction, kl = model._per_example_loss(batch, model._rng)
+                (reconstruction + kl).sum().backward()
+            optimizer.step()
+
+        for _ in range(2):
+            one_step()
+        started = time.perf_counter()
+        for _ in range(self.STEPS):
+            one_step()
+        return self.STEPS / (time.perf_counter() - started)
+
+    def test_fused_step_outpaces_the_seed_loop(self):
+        seed_rate = self.steps_per_second(SeedDPSGD)
+        fused_rate = self.steps_per_second(DPSGD)
+        assert fused_rate >= self.MIN_SPEEDUP * seed_rate, (
+            f"fused {fused_rate:.1f} steps/s is {fused_rate / seed_rate:.2f}x the seed "
+            f"loop's {seed_rate:.1f}; required {self.MIN_SPEEDUP}x"
+        )

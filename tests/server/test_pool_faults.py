@@ -1,6 +1,6 @@
 """Fault injection for the pre-fork pool: crashes truncate, never hang.
 
-Four guarantees that make the pool operable:
+Five guarantees that make the pool operable:
 
 - SIGKILLing the worker that owns a stream closes that client's connection
   (a truncated body, detected immediately) instead of leaving it hung;
@@ -9,6 +9,7 @@ Four guarantees that make the pool operable:
 - SIGTERM is a drain, not a kill: a worker told to exit finishes the stream
   it is serving — every row arrives — before the process goes away, and an
   idle pool stops at once;
+- workers whose supervisor is SIGKILLed drain and exit, releasing the port;
 - a pool that cannot bind its port raises and leaves no socket open.
 """
 
@@ -16,16 +17,22 @@ import gc
 import http.client
 import json
 import os
+import re
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
-from repro.server import WORKER_HEADER, WorkerPool
+from repro.server import WORKER_HEADER, ServingClient, WorkerPool
 from server_kit import serve_pool
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def _open_stream(port, n_samples, chunk_size, timeout=30):
@@ -174,6 +181,52 @@ class TestGracefulDrain:
                 elapsed = time.monotonic() - started
                 assert pool.worker_pids == []
             assert elapsed < 5.0, f"pool {attempt}: graceful stop took {elapsed:.1f}s"
+
+
+def _exited(pid: int) -> bool:
+    """Gone, or a zombie nobody has reaped yet: either way it exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states from /proc")
+def test_workers_exit_when_the_supervisor_is_killed(tmp_path):
+    command = [
+        sys.executable, "-u", "-m", "repro", "serve",
+        "--root", str(tmp_path), "--port", "0", "--processes", "2",
+    ]
+    workers = []
+    with subprocess.Popen(
+        command, env={**os.environ, "PYTHONPATH": SRC}, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+    ) as supervisor:
+        try:
+            port = int(re.search(r"http://[^:]+:(\d+)", supervisor.stdout.readline())[1])
+            client = ServingClient(port=port)
+            client.wait_until_ready(attempts=100, delay=0.1)
+            deadline = time.monotonic() + 10
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)  # until both workers' control channels answer
+                workers = client.metrics()["pool"]["workers"]
+            assert len(workers) == 2, workers
+            supervisor.kill()
+            supervisor.wait()
+            deadline = time.monotonic() + 5
+            while not all(map(_exited, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert all(map(_exited, workers)), f"workers {workers} outlived their supervisor"
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(("127.0.0.1", port), timeout=1).close()
+        finally:
+            supervisor.kill()
+            for pid in workers:  # never leave an orphaned pool behind
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 def test_start_on_a_taken_port_closes_its_socket():

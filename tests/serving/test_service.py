@@ -135,20 +135,20 @@ class TestDescribe:
 
 class TestConcurrencyContract:
     def _count_loads(self, monkeypatch, delay: float = 0.01):
-        """Patch the service module's load_artifact with a slowed, counting stub."""
+        """Patch the service module's load_release with a slowed, counting stub."""
         import time
 
         import repro.serving.service as service_module
 
         calls = []
-        real = service_module.load_artifact
+        real = service_module.load_release
 
         def counting(path):
             calls.append(path)
             time.sleep(delay)  # widen the would-be double-load window
             return real(path)
 
-        monkeypatch.setattr(service_module, "load_artifact", counting)
+        monkeypatch.setattr(service_module, "load_release", counting)
         return calls
 
     def test_hammering_one_ref_on_a_size_1_cache_loads_once(
@@ -283,7 +283,7 @@ class TestLoadFutures:
     per service — a slow load on one ref must never block traffic on another."""
 
     def _gate_loads(self, monkeypatch, blocked_ref: str):
-        """Patch load_artifact so loads of ``blocked_ref`` park on an event.
+        """Patch load_release so loads of ``blocked_ref`` park on an event.
 
         Returns ``(started, release, calls)``: ``started`` fires when the
         blocked load begins, ``release`` lets it finish, ``calls`` counts
@@ -291,7 +291,7 @@ class TestLoadFutures:
         """
         import repro.serving.service as service_module
 
-        real = service_module.load_artifact
+        real = service_module.load_release
         started, release = threading.Event(), threading.Event()
         calls = []
 
@@ -302,7 +302,7 @@ class TestLoadFutures:
                 assert release.wait(timeout=30), "gated load was never released"
             return real(path)
 
-        monkeypatch.setattr(service_module, "load_artifact", gated)
+        monkeypatch.setattr(service_module, "load_release", gated)
         return started, release, calls
 
     def test_slow_cold_load_does_not_block_hits_on_other_keys(
@@ -318,7 +318,7 @@ class TestLoadFutures:
         loader.start()
         try:
             assert started.wait(timeout=10)
-            # The cold load is parked inside load_artifact right now; a cache
+            # The cold load is parked inside load_release right now; a cache
             # hit on the other key must come back immediately — the map lock
             # is only held for bookkeeping, never through a load.
             began = time.perf_counter()
@@ -339,18 +339,18 @@ class TestLoadFutures:
         # once while another artifact's transformer.npz is still being read.
         import time
 
-        import repro.serving.service as service_module
+        import repro.serving.artifacts as artifacts_module
 
-        real = service_module.load_transformer
+        real = artifacts_module._transformer_from
         started, release = threading.Event(), threading.Event()
 
-        def gated(path):
+        def gated(path, manifest):
             if str(path).endswith("vae"):
                 started.set()
                 release.wait(timeout=5)
-            return real(path)
+            return real(path, manifest)
 
-        monkeypatch.setattr(service_module, "load_transformer", gated)
+        monkeypatch.setattr(artifacts_module, "_transformer_from", gated)
         service = SynthesisService(artifact_root=artifact_root, cache_size=2)
         warm = service.get("pgm")
         reader = threading.Thread(target=service.transformer, args=("vae",))
@@ -368,16 +368,16 @@ class TestLoadFutures:
     def test_distinct_cold_keys_load_concurrently(self, artifact_root, monkeypatch):
         import repro.serving.service as service_module
 
-        real = service_module.load_artifact
+        real = service_module.load_release
         rendezvous = threading.Barrier(2, timeout=15)
 
         def meeting(path):
-            # Both cold loads must be inside load_artifact at the same time;
+            # Both cold loads must be inside load_release at the same time;
             # lock-through-load would deadlock this barrier (and time out).
             rendezvous.wait()
             return real(path)
 
-        monkeypatch.setattr(service_module, "load_artifact", meeting)
+        monkeypatch.setattr(service_module, "load_release", meeting)
         service = SynthesisService(artifact_root=artifact_root, cache_size=2)
         results = {}
         threads = [
@@ -424,7 +424,7 @@ class TestLoadFutures:
     def test_failed_load_does_not_poison_the_key(self, artifact_root, monkeypatch):
         import repro.serving.service as service_module
 
-        real = service_module.load_artifact
+        real = service_module.load_release
         failures = [RuntimeError("transient artifact store hiccup")]
 
         def flaky(path):
@@ -432,7 +432,7 @@ class TestLoadFutures:
                 raise failures.pop()
             return real(path)
 
-        monkeypatch.setattr(service_module, "load_artifact", flaky)
+        monkeypatch.setattr(service_module, "load_release", flaky)
         service = SynthesisService(artifact_root=artifact_root, cache_size=2)
         with pytest.raises(RuntimeError, match="hiccup"):
             service.get("vae")

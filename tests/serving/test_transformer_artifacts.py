@@ -33,6 +33,20 @@ def mixed_release(tmp_path_factory):
     return path, dataset, transformer, model
 
 
+def count_manifest_parses(monkeypatch) -> list:
+    """Record every ``manifest.json`` parse from here on."""
+    import repro.serving.artifacts as artifacts_module
+
+    parses, real = [], artifacts_module._parse_manifest
+
+    def counting(path):
+        parses.append(path)
+        return real(path)
+
+    monkeypatch.setattr(artifacts_module, "_parse_manifest", counting)
+    return parses
+
+
 class TestTransformerPersistence:
     def test_manifest_records_config_and_npz_holds_state(self, mixed_release):
         path, dataset, transformer, _ = mixed_release
@@ -182,6 +196,27 @@ class TestOriginalSpaceService:
         assert service.transformer(path) is service.transformer(path)
         service.evict(path)
         assert service.transformer(path) is not None  # reloaded after evict
+
+    def test_a_release_parses_the_manifest_once_cold_and_never_warm(
+        self, mixed_release, monkeypatch
+    ):
+        path, *_ = mixed_release
+        parses = count_manifest_parses(monkeypatch)
+        service = SynthesisService()
+        for expected in (1, 0):  # cold: model and transformer from one parse
+            parses.clear()
+            stream, _ = service.open_release(path, 5, labeled=False, seed=0)
+            list(stream)
+            assert len(parses) == expected
+
+    def test_evaluating_an_artifact_parses_its_manifest_once(self, mixed_release, monkeypatch):
+        from repro.evaluation import evaluate_artifact
+        from repro.ml import LogisticRegression
+
+        path, dataset, *_ = mixed_release
+        parses = count_manifest_parses(monkeypatch)
+        evaluate_artifact(path, dataset, classifiers={"LR": LogisticRegression}, n_synthetic=100)
+        assert len(parses) == 1
 
     def test_unlabeled_stream_strips_the_label_block_of_mixin_models(self, tmp_path):
         # Regression: VAE-family sample() returns features + the one-hot
